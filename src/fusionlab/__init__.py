@@ -40,7 +40,7 @@ from .params import Module, Parameter, backward, load_state, set_trainable, stat
 from .peft import Adapter, PeftSpec, configure_peft
 from .pretrain import MaskedPretrainModel, PretrainConfig, RandomQuantizer, pretrain_masked_prediction
 from .synth import SynthConfig, Utterance, generate_corpus, linear_probe_fer
-from .tensor import GradientMap, GraphError, OpCounter, ShapeError, Tensor, no_grad, scope, use_counter
+from .tensor import GraphError, OpCounter, ShapeError, Tensor, no_grad, scope, use_counter
 from .training import (
     Adam,
     GateError,
@@ -66,7 +66,6 @@ __all__ = [
     "ExperimentConfig",
     "FULL_SCALE",
     "GateError",
-    "GradientMap",
     "GraphError",
     "HierarchicalFusionSpec",
     "LinearFusionSpec",

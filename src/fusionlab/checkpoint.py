@@ -11,6 +11,7 @@ Layout, all little-endian:
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -30,6 +31,8 @@ class CheckpointError(RuntimeError):
 
 
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
+    """Write atomically: a temporary file in the target directory is
+    renamed over ``path``, so a failed write leaves any old file intact."""
     path = Path(path)
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
@@ -44,7 +47,12 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<BB", _CODES_BY_KIND[arr.dtype], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
-    path.write_bytes(b"".join(chunks))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(b"".join(chunks))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 class _Reader:

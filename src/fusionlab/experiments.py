@@ -25,7 +25,6 @@ import dataclasses
 import itertools
 import json
 import re
-import time
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +47,6 @@ from .params import load_state, set_trainable
 from .peft import PeftSpec
 from .pretrain import pretrain_masked_prediction
 from .synth import generate_corpus
-from .tensor import Tensor
 from .training import Metrics, Trainer, evaluate_fer, evaluate_fer_per_tap, train_downstream
 
 __all__ = [
@@ -211,8 +209,7 @@ def cmd_probe_layers(cfg: ExperimentConfig, taps=None) -> list[dict]:
     bank = ProbeBank(encoder, taps, cfg.synth.vocab, cfg.seed)
     train_set = generate_corpus(cfg.synth, cfg.seed, "train")
     test_set = generate_corpus(cfg.synth, cfg.seed, "test")
-    trainer = Trainer(bank, train_set, cfg.train, use_ema=True)
-    history = _train_probe_bank(trainer, bank, cfg.train)
+    history = train_downstream(bank, train_set, cfg.train)
     fers = evaluate_fer_per_tap(bank, test_set)
 
     rows = [{"layer": tap, "fer": fers[tap]} for tap in taps]
@@ -229,26 +226,6 @@ def cmd_probe_layers(cfg: ExperimentConfig, taps=None) -> list[dict]:
     _write_result(run_dir, {"layer_fer": {str(t): fers[t] for t in taps}})
     _print_table(["layer", "test fer"], [[t, f"{fers[t]:.4f}"] for t in taps])
     return rows
-
-
-def _train_probe_bank(trainer: Trainer, bank: ProbeBank, train_cfg) -> list[Metrics]:
-    history: list[Metrics] = []
-    window: list[float] = []
-    t0 = time.perf_counter()
-    for step in range(1, train_cfg.steps + 1):
-        window.append(trainer.step())
-        if step % train_cfg.log_every == 0 or step == train_cfg.steps:
-            elapsed = time.perf_counter() - t0
-            frames, labels = trainer.sampler.batch()
-            per_tap = bank.predictions_per_tap(Tensor(frames))
-            fer = float(np.mean([(p != labels).mean() for p in per_tap.values()]))
-            rate = len(window) * train_cfg.batch_size / elapsed if elapsed > 0 else float("inf")
-            history.append(Metrics(step=step, loss=float(np.mean(window)),
-                                   frame_error_rate=fer, throughput=rate))
-            window = []
-            t0 = time.perf_counter()
-    trainer.finish()
-    return history
 
 
 # -- fusion head comparison ----------------------------------------------------

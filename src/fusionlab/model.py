@@ -136,13 +136,13 @@ class ProbeBank(Module):
             total = ce if total is None else ops.add(total, ce)
         return total
 
-    def predictions_per_tap(self, frames: Tensor) -> dict[int, np.ndarray]:
+    def predictions(self, frames: Tensor) -> np.ndarray:
+        """Per-tap predictions stacked as (taps, batch, time), in
+        ``tap_indices`` order."""
         with no_grad():
             taps = self.encoder.encode_with_taps(frames, self.tap_indices)
-            return {
-                i: self.probes[i](taps[i]).data.argmax(axis=-1)
-                for i in self.tap_indices
-            }
+            return np.stack([self.probes[i](taps[i]).data.argmax(axis=-1)
+                             for i in self.tap_indices])
 
 
 def build_model(spec, seed: int, state: dict | None = None, dtype=np.float32) -> DownstreamModel:

@@ -35,7 +35,7 @@ __all__ = [
     "matmul", "bias_add", "add", "mul", "scale", "relu", "swish", "sigmoid",
     "glu", "softmax", "layer_norm", "conv1d", "depthwise_conv1d", "concat",
     "narrow", "transpose", "reshape", "mean", "gather_rows",
-    "cross_entropy_with_logits", "apply_primitive", "PRIMITIVES",
+    "cross_entropy_with_logits",
 ]
 
 # ---------------------------------------------------------------------------
@@ -659,40 +659,3 @@ def _cross_entropy_bwd(node, g):
     rows = p.shape[0]
     p[np.arange(rows), lab] -= 1.0
     return (p * (g / rows),)
-
-
-# ---------------------------------------------------------------------------
-# Registry
-# ---------------------------------------------------------------------------
-
-PRIMITIVES = {
-    "matmul": lambda inputs, attrs: matmul(*inputs),
-    "bias_add": lambda inputs, attrs: bias_add(*inputs),
-    "add": lambda inputs, attrs: add(*inputs),
-    "mul": lambda inputs, attrs: mul(*inputs),
-    "scale": lambda inputs, attrs: scale(inputs[0], attrs["factor"]),
-    "relu": lambda inputs, attrs: relu(*inputs),
-    "swish": lambda inputs, attrs: swish(*inputs),
-    "sigmoid": lambda inputs, attrs: sigmoid(*inputs),
-    "glu": lambda inputs, attrs: glu(*inputs),
-    "softmax": lambda inputs, attrs: softmax(*inputs),
-    "layer_norm": lambda inputs, attrs: layer_norm(*inputs, eps=attrs.get("eps", 1e-5)),
-    "conv1d": lambda inputs, attrs: conv1d(*inputs, stride=attrs.get("stride", 1)),
-    "depthwise_conv1d": lambda inputs, attrs: depthwise_conv1d(*inputs),
-    "concat": lambda inputs, attrs: concat(list(inputs), axis=attrs.get("axis", -1)),
-    "narrow": lambda inputs, attrs: narrow(inputs[0], attrs["axis"], attrs["start"], attrs["length"]),
-    "transpose": lambda inputs, attrs: transpose(inputs[0], attrs["a"], attrs["b"]),
-    "reshape": lambda inputs, attrs: reshape(inputs[0], tuple(attrs["shape"])),
-    "mean": lambda inputs, attrs: mean(*inputs),
-    "gather_rows": lambda inputs, attrs: gather_rows(inputs[0], attrs["idx"]),
-    "cross_entropy": lambda inputs, attrs: cross_entropy_with_logits(inputs[0], attrs["labels"]),
-}
-
-
-def apply_primitive(kind: str, inputs: list[Tensor], attrs: dict | None = None) -> Tensor:
-    """Dispatch a primitive by kind name; unknown kinds are rejected."""
-    try:
-        fn = PRIMITIVES[kind]
-    except KeyError:
-        raise ValueError(f"unknown op kind: {kind!r}") from None
-    return fn(tuple(inputs), attrs or {})

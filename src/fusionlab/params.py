@@ -1,11 +1,17 @@
 """Named parameters, module trees, and pattern-based trainability control.
 
-Parameter names are hierarchical slash-separated paths assigned as modules
-are composed: a submodule registered under ``"ffn1"`` inside a block
-registered under ``"layer_0"`` yields names like
-``layer_0/ffn1/up/weight``.  Names are the keys used by gradient maps,
-optimizer state, checkpoints, and freeze patterns, so they must be unique
-within a model; registration enforces that.
+A parameter's full name is its slash-separated path from the module being
+walked, built by ``Module.parameters()`` at traversal time: a submodule
+registered under ``"ffn1"`` inside a block registered under ``"layer_0"``
+yields names like ``layer_0/ffn1/up/weight``.  ``Parameter.name`` holds
+only the local name, so a module reports the same names whether it stands
+alone or sits inside a larger model.  Names are the keys used by gradient
+maps, optimizer state, checkpoints, and freeze patterns, so they must be
+unique within a model; registration and traversal enforce that.
+
+A module has one owner at a time: ``child`` refuses a module that is
+already registered elsewhere until its owner hands it back with
+``release``.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import re
 
 import numpy as np
 
-from .tensor import GradientMap, Tensor, leaf_gradients
+from .tensor import Tensor, leaf_gradients
 
 __all__ = [
     "Parameter",
@@ -28,7 +34,7 @@ __all__ = [
 
 
 class Parameter:
-    """A named array with a trainable flag; the unit of freezing."""
+    """A locally named array with a trainable flag; the unit of freezing."""
 
     __slots__ = ("name", "value", "trainable")
 
@@ -73,37 +79,39 @@ class Module:
         if module._owned:
             raise ValueError(f"module already registered elsewhere, cannot attach as {name!r}")
         module._owned = True
-        module._reprefix(name)
         self._children[name] = module
         return module
 
-    def _reprefix(self, prefix: str) -> None:
-        for p in self._iter_params():
-            p.name = f"{prefix}/{p.name}"
+    def release(self, name: str) -> "Module":
+        """Detach the child registered as ``name`` and hand it back unowned."""
+        module = self._children.pop(name)
+        module._owned = False
+        return module
 
     # -- traversal ---------------------------------------------------------
 
-    def _iter_params(self):
-        for p in self._params.values():
-            yield p
-        for c in self._children.values():
-            yield from c._iter_params()
-
     def parameters(self) -> dict[str, Parameter]:
-        """All parameters keyed by full name (insertion order, stable)."""
+        """All parameters keyed by their path from this module (insertion
+        order, stable)."""
         out: dict[str, Parameter] = {}
-        for p in self._iter_params():
-            if p.name in out:
-                raise ValueError(f"parameter name collision: {p.name!r}")
-            out[p.name] = p
+        self._collect("", out)
         return out
+
+    def _collect(self, prefix: str, out: dict[str, Parameter]) -> None:
+        for name, p in self._params.items():
+            path = prefix + name
+            if path in out:
+                raise ValueError(f"parameter name collision: {path!r}")
+            out[path] = p
+        for name, module in self._children.items():
+            module._collect(f"{prefix}{name}/", out)
 
     def trainable_parameters(self) -> dict[str, Parameter]:
         return {n: p for n, p in self.parameters().items() if p.trainable}
 
     def num_params(self, trainable_only: bool = False) -> int:
         return sum(
-            p.size for p in self._iter_params() if p.trainable or not trainable_only
+            p.size for p in self.parameters().values() if p.trainable or not trainable_only
         )
 
     def children(self) -> dict[str, "Module"]:
@@ -162,16 +170,16 @@ def set_trainable(model: Module, pattern: str, flag: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def backward(loss: Tensor, model: Module, retain_graph: bool = False) -> GradientMap:
+def backward(loss: Tensor, model: Module, retain_graph: bool = False) -> dict[str, np.ndarray]:
     """Reverse sweep; gradients for trainable parameters only, by name."""
     grads = leaf_gradients(loss, retain_graph)
-    entries: dict[str, Tensor] = {}
+    out: dict[str, np.ndarray] = {}
     for name, p in model.parameters().items():
         if p.trainable:
             g = grads.get(id(p.value))
             if g is not None:
-                entries[name] = Tensor(g)
-    return GradientMap(entries)
+                out[name] = g
+    return out
 
 
 def state_dict(model: Module) -> dict[str, np.ndarray]:

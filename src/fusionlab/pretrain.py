@@ -170,6 +170,8 @@ def pretrain_masked_prediction(encoder: Encoder, dataset, cfg: PretrainConfig,
     (relative), else ``GateError`` is raised and nothing is saved.  On
     success the full model state (``encoder/...``, ``head/...``,
     ``mask/...``) is written to ``checkpoint_path`` if one is given.
+    Whether it returns or raises, the encoder is handed back unowned, so
+    the caller can compose it into another model.
     """
     cfg.validate()
     set_trainable(encoder, "**", True)
@@ -184,16 +186,19 @@ def pretrain_masked_prediction(encoder: Encoder, dataset, cfg: PretrainConfig,
         seed=cfg.seed,
         subsampling=cfg.mask_span,
     )
-    trainer = Trainer(model, dataset, train_cfg, use_ema=False)
-    losses = [trainer.step() for _ in range(cfg.steps)]
-    first = float(np.mean(losses[: cfg.gate_window]))
-    last = float(np.mean(losses[-cfg.gate_window:]))
-    drop = (first - last) / first
-    if drop < cfg.min_loss_drop:
-        raise GateError(
-            f"pretraining did not learn: loss fell {drop:.1%} "
-            f"({first:.4f} to {last:.4f}), needed {cfg.min_loss_drop:.0%}"
-        )
-    if checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, state_dict(model))
+    try:
+        trainer = Trainer(model, dataset, train_cfg, use_ema=False)
+        losses = [trainer.step() for _ in range(cfg.steps)]
+        first = float(np.mean(losses[: cfg.gate_window]))
+        last = float(np.mean(losses[-cfg.gate_window:]))
+        drop = (first - last) / first
+        if drop < cfg.min_loss_drop:
+            raise GateError(
+                f"pretraining did not learn: loss fell {drop:.1%} "
+                f"({first:.4f} to {last:.4f}), needed {cfg.min_loss_drop:.0%}"
+            )
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, state_dict(model))
+    finally:
+        model.release("encoder")
     return losses

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from contextlib import contextmanager
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "Tensor",
     "Node",
     "OpCounter",
-    "GradientMap",
     "GraphError",
     "ShapeError",
     "use_counter",
@@ -116,18 +115,6 @@ class OpCounter:
 
     def backward_flops_in(self, prefix: str) -> int:
         return self._in(self.scope_backward_flops, prefix)
-
-    def snapshot(self) -> dict:
-        """Plain-record export for resource accounting."""
-        return {
-            "forward_ops": dict(self.forward_ops),
-            "backward_ops": dict(self.backward_ops),
-            "forward_flops": self.forward_flops,
-            "backward_flops": self.backward_flops,
-            "saved_bytes": self.saved_bytes,
-            "scope_forward_flops": dict(self.scope_forward_flops),
-            "scope_backward_flops": dict(self.scope_backward_flops),
-        }
 
 
 class _ThreadState(threading.local):
@@ -243,38 +230,18 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self) -> str:
         tag = "leaf" if self.node is None else self.node.kind
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, {tag})"
 
 
-class GradientMap(Mapping):
-    """Gradients keyed by parameter name; trainable parameters only."""
+def leaf_gradients(loss: Tensor, retain_graph: bool = False) -> dict[int, np.ndarray]:
+    """Reverse sweep; accumulated gradients keyed by id() of the leaf tensors.
 
-    def __init__(self, entries: dict[str, Tensor]):
-        self.entries = entries
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.entries[name]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:
-        return f"GradientMap({sorted(self.entries)})"
-
-
-def _run_backward(loss: Tensor, retain_graph: bool) -> dict[int, np.ndarray]:
-    """Reverse sweep; returns accumulated gradients keyed by id(leaf tensor)."""
+    Subgraphs from which no gradient-requiring leaf is reachable were never
+    recorded, so they contribute zero backward ops by construction.  The
+    parameter layer turns this into a name-keyed dict of arrays.
+    """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
     leaf_grads: dict[int, np.ndarray] = {}
@@ -327,15 +294,5 @@ def _run_backward(loss: Tensor, retain_graph: bool) -> dict[int, np.ndarray]:
 
 def grad(loss: Tensor, wrt: Sequence[Tensor], retain_graph: bool = False) -> list[np.ndarray | None]:
     """Gradients of a scalar loss w.r.t. an explicit list of leaf tensors."""
-    leaf_grads = _run_backward(loss, retain_graph)
+    leaf_grads = leaf_gradients(loss, retain_graph)
     return [leaf_grads.get(id(t)) for t in wrt]
-
-
-def leaf_gradients(loss: Tensor, retain_graph: bool = False) -> dict[int, np.ndarray]:
-    """Raw reverse sweep; gradients keyed by id() of the leaf tensors.
-
-    Subgraphs from which no gradient-requiring leaf is reachable were never
-    recorded, so they contribute zero backward ops by construction.  The
-    parameter layer turns this into a name-keyed GradientMap.
-    """
-    return _run_backward(loss, retain_graph)

@@ -103,14 +103,14 @@ class Adam:
             return base
         return base * min(1.0, step / self.cfg.warmup_steps)
 
-    def apply(self, grads) -> None:
+    def apply(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         lr = self.learning_rate_at(self.t)
         b1, b2, eps = self.cfg.beta1, self.cfg.beta2, self.cfg.eps
         for name in grads:
             if name not in self.params:
                 raise KeyError(f"gradient for unknown parameter {name!r}")
-            g = grads[name].data if isinstance(grads[name], Tensor) else np.asarray(grads[name])
+            g = grads[name]
             p = self.params[name]
             m = b1 * self.m[name] + (1.0 - b1) * g
             v = b2 * self.v[name] + (1.0 - b2) * g * g
@@ -237,9 +237,10 @@ def train_downstream(model: Module, dataset, cfg: TrainConfig,
     """Run ``cfg.steps`` optimizer steps; returns the logged metric history.
 
     Loss is averaged over each logging window, the error rate is measured
-    on one fresh training batch at each boundary, and throughput counts
-    optimizer steps only.  When averaging is enabled the averaged weights
-    are installed after the last step.  Pass an existing ``trainer`` to
+    on one fresh training batch at each boundary (averaged over the taps
+    of a probe bank, whose predictions stack one row per tap), and
+    throughput counts optimizer steps only.  When averaging is enabled the
+    averaged weights are installed after the last step.  Pass an existing ``trainer`` to
     continue it (e.g. after timing warmup steps on it).
     """
     if trainer is None:
@@ -281,12 +282,11 @@ def evaluate_fer_per_tap(bank, dataset, subsampling: int = 4) -> dict[int, float
     """Per-tap frame error for a bank of probes sharing one encoder."""
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
-    errors: dict[int, int] = {}
+    errors = np.zeros(len(bank.tap_indices), dtype=np.int64)
     total = 0
     for utt in dataset:
         t = len(utt.labels) * subsampling
-        per_tap = bank.predictions_per_tap(Tensor(utt.frames[None, :t]))
-        for tap, preds in per_tap.items():
-            errors[tap] = errors.get(tap, 0) + int((preds[0] != utt.labels).sum())
+        preds = bank.predictions(Tensor(utt.frames[None, :t]))[:, 0]
+        errors += (preds != utt.labels).sum(axis=1)
         total += len(utt.labels)
-    return {tap: err / total for tap, err in sorted(errors.items())}
+    return {tap: int(err) / total for tap, err in zip(bank.tap_indices, errors)}

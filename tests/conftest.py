@@ -2,6 +2,10 @@
 
 Thread caps are set before numpy loads so BLAS reductions are
 deterministic, which the bitwise-reproducibility tests rely on.
+
+Tests that use the acceptance trend battery (tens of minutes on a desk
+CPU) run after every other test, so the rest of the suite reports in
+minutes and a slow battery never holds back a quick failure elsewhere.
 """
 
 import os
@@ -20,6 +24,12 @@ def acceptance_report():
     """Collector for the one-line acceptance verdicts; they are echoed in
     the terminal summary so they stay visible under output capture."""
     return _ACCEPTANCE_LINES
+
+
+def pytest_collection_modifyitems(items):
+    # A stable sort keeps file order within each group and keeps the
+    # battery's tests adjacent, so its module-scoped fixture is built once.
+    items.sort(key=lambda item: "trend_battery" in item.fixturenames)
 
 
 def pytest_terminal_summary(terminalreporter):

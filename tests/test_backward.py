@@ -104,7 +104,7 @@ def test_backward_returns_named_map_for_trainables_only():
     x = Tensor(np.ones((2, 3)))
     grads = backward(ops.mean(model(x)), model)
     assert set(grads) == {"second/weight", "second/bias"}
-    assert grads["second/weight"].data.shape == (3, 3)
+    assert grads["second/weight"].shape == (3, 3)
 
 
 def test_backward_map_covers_all_trainables_even_with_zero_grad():
@@ -112,7 +112,7 @@ def test_backward_map_covers_all_trainables_even_with_zero_grad():
     x = Tensor(np.zeros((1, 2)))  # relu kills the path through first/*
     grads = backward(ops.mean(model(x)), model)
     assert set(grads) == set(model.trainable_parameters())
-    np.testing.assert_array_equal(grads["first/weight"].data, np.zeros((2, 2)))
+    np.testing.assert_array_equal(grads["first/weight"], np.zeros((2, 2)))
 
 
 def test_module_name_prefixing_and_duplicate_guard():
@@ -126,6 +126,27 @@ def test_module_name_prefixing_and_duplicate_guard():
     outer.child("a", inner)
     with pytest.raises(ValueError):
         outer.child("b", inner)  # same module attached twice
+
+
+def test_names_are_paths_from_the_walked_module():
+    inner = _TwoLayer(2)
+    alone = list(inner.parameters())
+    outer = Module()
+    outer.child("net", inner)
+    assert list(outer.parameters()) == [f"net/{n}" for n in alone]
+    assert list(inner.parameters()) == alone
+    assert [p.name for p in inner.parameters().values()] == ["weight", "bias"] * 2
+
+
+def test_release_hands_a_child_back_unowned():
+    inner = _Affine(2)
+    outer = Module()
+    outer.child("a", inner)
+    assert outer.release("a") is inner
+    assert outer.parameters() == {}
+    other = Module()
+    other.child("b", inner)
+    assert list(other.parameters()) == ["b/weight", "b/bias"]
 
 
 def test_set_trainable_pattern_counts():

@@ -126,3 +126,31 @@ def test_load_state_casts_to_parameter_dtype():
     fresh = build_encoder(DESK, seed=1)
     load_state(fresh, state)
     assert all(p.value.dtype == np.float32 for p in fresh.parameters().values())
+
+
+def test_failed_write_keeps_the_old_checkpoint(tmp_path, monkeypatch):
+    from pathlib import Path
+
+    path = tmp_path / "checkpoint.ffck"
+    save_checkpoint(path, sample_tensors())
+    before = path.read_bytes()
+
+    def torn_write(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, {"other": np.ones(64, dtype=np.float32)})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.ffck"]
+
+    fresh = tmp_path / "fresh" / "checkpoint.ffck"
+    fresh.parent.mkdir()
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError):
+        save_checkpoint(fresh, sample_tensors())
+    monkeypatch.undo()
+    assert list(fresh.parent.iterdir()) == []

@@ -6,6 +6,8 @@ import pytest
 
 from fusionlab.checkpoint import load_checkpoint
 from fusionlab.encoder import DESK, EncoderConfig, build_encoder
+from fusionlab.model import DownstreamModel, ProbeBank
+from fusionlab.params import set_trainable, state_dict
 from fusionlab.pretrain import (
     MaskedPretrainModel,
     PretrainConfig,
@@ -117,8 +119,6 @@ def test_pretrain_smoke_saves_full_state(tmp_path):
 
 
 def test_pretraining_trains_frozen_encoders_too(tmp_path):
-    from fusionlab.params import set_trainable
-
     enc = build_encoder(DESK, seed=0)
     set_trainable(enc, "**", False)
     watched = [(p, p.value.data.copy()) for p in list(enc.parameters().values())[:6]]
@@ -126,3 +126,29 @@ def test_pretraining_trains_frozen_encoders_too(tmp_path):
     pretrain_masked_prediction(enc, tiny_corpus(), cfg)
     changed = any(np.abs(p.value.data - a).max() > 0 for p, a in watched)
     assert changed, "pretraining must unfreeze and train the encoder"
+
+
+@pytest.mark.parametrize("gate", ["passes", "fails"])
+def test_encoder_is_handed_back_reusable(gate, tmp_path):
+    enc = build_encoder(DESK, seed=0)
+    names = list(enc.parameters())
+    if gate == "passes":
+        cfg = PretrainConfig(steps=20, gate_window=10, min_loss_drop=0.0, seed=0)
+        pretrain_masked_prediction(enc, tiny_corpus(), cfg, checkpoint_path=tmp_path / "pre.ffck")
+        saved = [n for n in load_checkpoint(tmp_path / "pre.ffck") if n.startswith("encoder/")]
+        assert saved == [f"encoder/{n}" for n in names]
+    else:
+        cfg = PretrainConfig(steps=20, gate_window=10, learning_rate=1e-7, seed=0)
+        with pytest.raises(GateError):
+            pretrain_masked_prediction(enc, tiny_corpus(), cfg)
+    assert list(state_dict(enc)) == names
+    assert not any(n.startswith("encoder/") for n in state_dict(enc))
+
+    set_trainable(enc, "**", False)
+    bank = ProbeBank(enc, range(DESK.num_layers), num_classes=8, seed=0)
+    assert list(enc.parameters()) == names
+    bank.release("encoder")
+    model = DownstreamModel(enc, None, num_classes=8, seed=0)
+    assert list(enc.parameters()) == names
+    assert [n for n in model.parameters() if n.startswith("encoder/")] == [
+        f"encoder/{n}" for n in names]

@@ -41,7 +41,7 @@ def test_adam_first_step_matches_hand_computation():
     model = _Scalar(3.0)
     opt = Adam(model.trainable_parameters(), cfg)
     g = np.array([0.5])
-    opt.apply({"w": Tensor(g)})
+    opt.apply({"w": g})
     # bias-corrected first step: m_hat = g, v_hat = g^2, update = lr*g/(|g|+eps)
     expected = 3.0 - 0.1 * 0.5 / (0.5 + 1e-8)
     np.testing.assert_allclose(model.w.value.data, [expected], rtol=1e-12)
