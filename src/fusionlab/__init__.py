@@ -32,7 +32,6 @@ from .fusion import (
     build_fusion_head,
     evenly_spaced_taps,
     layer_weight_norms,
-    single_layer_head,
 )
 from .gradcheck import finite_difference_check
 from .model import DownstreamModel, ProbeBank, build_model
@@ -117,7 +116,6 @@ __all__ = [
     "save_checkpoint",
     "scope",
     "set_trainable",
-    "single_layer_head",
     "state_dict",
     "train_downstream",
     "use_counter",

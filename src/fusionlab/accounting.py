@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ops
-from .encoder import DESK, FULL_SCALE, EncoderConfig
+from .encoder import DESK, FULL_SCALE, SUBSAMPLING, EncoderConfig
 from .fusion import HierarchicalFusionSpec, LinearFusionSpec, evenly_spaced_taps
 from .peft import PeftSpec
 
@@ -582,7 +582,7 @@ def trace_costs(spec: ModelSpec, batch: int, seq_len: int, itemsize: int = 4) ->
     if batch < 1:
         raise ValueError(f"batch must be positive, got {batch}")
     cfg = spec.encoder
-    if seq_len < cfg.subsampling:
+    if seq_len < SUBSAMPLING:
         raise ValueError(f"sequence length {seq_len} shorter than the frontend receptive field")
 
     kind = spec.peft.kind

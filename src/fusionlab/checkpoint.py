@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "MAGIC", "VERSION"]
+__all__ = ["CheckpointError", "save_checkpoint", "load_checkpoint", "write_atomically",
+           "MAGIC", "VERSION"]
 
 MAGIC = b"FFCK"
 VERSION = 1
@@ -30,10 +31,20 @@ class CheckpointError(RuntimeError):
     pass
 
 
-def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
-    """Write atomically: a temporary file in the target directory is
-    renamed over ``path``, so a failed write leaves any old file intact."""
+def write_atomically(path, data: bytes) -> None:
+    """Write ``data`` to a temporary file beside ``path`` and rename it
+    over ``path``, so a failed write leaves any old file intact."""
     path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
+    """Serialize ``tensors`` to ``path`` through ``write_atomically``."""
     chunks = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         arr = np.asarray(arr)
@@ -47,12 +58,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack("<BB", _CODES_BY_KIND[arr.dtype], arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(b"".join(chunks))
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    write_atomically(path, b"".join(chunks))
 
 
 class _Reader:

@@ -2,9 +2,12 @@
 
 A config file has up to seven sections; every key is typed and checked,
 and unknown sections or keys are hard errors so a typo cannot silently
-fall back to a default.  ``render_config`` emits the fully resolved
-configuration (every key explicit), which is what run directories freeze
-for provenance; ``config_fingerprint`` hashes that text.
+fall back to a default.  The keys of ``[encoder]``, ``[train]``,
+``[pretrain]`` and ``[synth]`` are the fields of their config dataclass
+(minus ``seed``, which ``[experiment]`` sets for all of them).
+``render_config`` emits the fully resolved configuration (every key
+explicit), which is what run directories freeze for provenance;
+``config_fingerprint`` hashes that text.
 
 Two presets pick the default geometry: ``desk`` (trainable on a CPU) and
 ``full-counting`` (the large geometry used for closed-form parameter
@@ -81,37 +84,26 @@ def _int_pair(text: str) -> tuple[int, int]:
     return values  # type: ignore[return-value]
 
 
+_PARSERS = {int: _int, float: _float, tuple: _int_pair}
+
+
+def _fields_schema(cls) -> dict[str, object]:
+    """One key per dataclass field but ``seed``, parsed by its default's type."""
+    return {f.name: _PARSERS[type(f.default)]
+            for f in dataclasses.fields(cls) if f.name != "seed"}
+
+
 SCHEMA: dict[str, dict[str, object]] = {
     "experiment": {"preset": _str, "output_dir": _str, "seed": _int},
-    "encoder": {
-        "num_layers": _int, "model_dim": _int, "num_heads": _int,
-        "ffn_expansion": _int, "conv_kernel": _int, "subsampling": _int,
-        "input_dim": _int,
-    },
+    "encoder": _fields_schema(EncoderConfig),
     "fusion": {
         "kind": _str, "taps": _int_list, "num_taps": _int, "depth": _int,
         "width": _int, "fp_dim": _int, "final_dim": _int, "final_depth": _int,
     },
     "peft": {"kind": _str, "adapter_layers": _int_list, "bottleneck_dim": _int},
-    "train": {
-        "learning_rate": _float, "warmup_steps": _int, "steps": _int,
-        "batch_size": _int, "crop_len": _int, "ema_decay": _float,
-        "log_every": _int,
-    },
-    "pretrain": {
-        "codebook_size": _int, "code_dim": _int, "mask_prob": _float,
-        "mask_span": _int, "steps": _int, "batch_size": _int, "crop_len": _int,
-        "learning_rate": _float, "warmup_steps": _int, "min_loss_drop": _float,
-        "gate_window": _int,
-    },
-    "synth": {
-        "vocab": _int, "frames_per_symbol": _int_pair, "input_dim": _int,
-        "emission_rank": _int, "noise_std": _float, "mean_scale": _float,
-        "structure_scale": _float,
-        "utterance_len": _int_pair, "pretrain_utterances": _int,
-        "train_utterances": _int, "test_utterances": _int,
-        "self_transition": _float, "latent_rho": _float,
-    },
+    "train": _fields_schema(TrainConfig),
+    "pretrain": _fields_schema(PretrainConfig),
+    "synth": _fields_schema(SynthConfig),
 }
 
 _LINEAR_ONLY = ("depth", "width")
@@ -147,13 +139,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"synth input_dim ({self.synth.input_dim}) must match encoder "
                 f"input_dim ({self.encoder.input_dim})"
-            )
-        if self.synth.subsampling != self.encoder.subsampling:
-            raise ConfigError("synth and encoder subsampling factors must match")
-        if self.pretrain.mask_span != self.encoder.subsampling:
-            raise ConfigError(
-                f"pretrain mask_span ({self.pretrain.mask_span}) must equal the "
-                f"encoder subsampling factor ({self.encoder.subsampling})"
             )
         if self.train.seed != self.seed or self.pretrain.seed != self.seed:
             raise ConfigError("train/pretrain seeds must mirror the experiment seed")
@@ -262,15 +247,11 @@ def build_config(sections: dict[str, dict[str, str]],
     if "adapter_layers" in peft_raw:
         peft_raw["adapter_layers"] = tuple(peft_raw["adapter_layers"])
     peft = dataclasses.replace(base.peft, **peft_raw)
-    train = dataclasses.replace(base.train, seed=seed,
-                                subsampling=encoder.subsampling,
-                                **_parsed(sections, "train"))
-    pretrain = dataclasses.replace(base.pretrain, seed=seed,
-                                   **_parsed(sections, "pretrain"))
+    train = dataclasses.replace(base.train, seed=seed, **_parsed(sections, "train"))
+    pretrain = dataclasses.replace(base.pretrain, seed=seed, **_parsed(sections, "pretrain"))
     synth_raw = _parsed(sections, "synth")
     synth_raw.setdefault("input_dim", encoder.input_dim)
-    synth = dataclasses.replace(base.synth, subsampling=encoder.subsampling,
-                                **synth_raw)
+    synth = dataclasses.replace(base.synth, **synth_raw)
     cfg = ExperimentConfig(
         preset=preset,
         output_dir=Path(exp.get("output_dir", base.output_dir)),
@@ -315,6 +296,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _fields_section(cfg: ExperimentConfig, section: str) -> dict[str, str]:
+    values = getattr(cfg, section)
+    return {k: _fmt(getattr(values, k)) for k in SCHEMA[section]}
+
+
 def config_sections(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
     """The fully resolved config as raw string sections (round-trips
     through ``build_config``)."""
@@ -324,7 +310,7 @@ def config_sections(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
             "output_dir": str(cfg.output_dir),
             "seed": str(cfg.seed),
         },
-        "encoder": {k: _fmt(getattr(cfg.encoder, k)) for k in SCHEMA["encoder"]},
+        "encoder": _fields_section(cfg, "encoder"),
     }
     if cfg.fusion is None:
         out["fusion"] = {"kind": "none"}
@@ -347,9 +333,8 @@ def config_sections(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
     if cfg.peft.kind == "adapter":
         out["peft"]["adapter_layers"] = _fmt(cfg.peft.adapter_layers)
         out["peft"]["bottleneck_dim"] = str(cfg.peft.bottleneck_dim)
-    out["train"] = {k: _fmt(getattr(cfg.train, k)) for k in SCHEMA["train"]}
-    out["pretrain"] = {k: _fmt(getattr(cfg.pretrain, k)) for k in SCHEMA["pretrain"]}
-    out["synth"] = {k: _fmt(getattr(cfg.synth, k)) for k in SCHEMA["synth"]}
+    for section in ("train", "pretrain", "synth"):
+        out[section] = _fields_section(cfg, section)
     return out
 
 

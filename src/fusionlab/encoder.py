@@ -12,7 +12,11 @@ from .layers import ConformerBlock, Conv1d, Linear, sinusoidal_positions
 from .params import Module
 from .tensor import ShapeError, Tensor, scope
 
-__all__ = ["EncoderConfig", "DESK", "FULL_SCALE", "FeatureTaps", "Encoder", "build_encoder"]
+__all__ = ["SUBSAMPLING", "EncoderConfig", "DESK", "FULL_SCALE", "FeatureTaps", "Encoder",
+           "build_encoder"]
+
+# Frames per output position, fixed by the frontend's two stride-2 convolutions.
+SUBSAMPLING = 4
 
 
 @dataclass(frozen=True)
@@ -22,12 +26,15 @@ class EncoderConfig:
     num_heads: int = 4
     ffn_expansion: int = 4
     conv_kernel: int = 8
-    subsampling: int = 4
     input_dim: int = 16
+
+    @property
+    def subsampling(self) -> int:
+        return SUBSAMPLING
 
     def validate(self) -> None:
         for field in ("num_layers", "model_dim", "num_heads", "ffn_expansion",
-                      "conv_kernel", "subsampling", "input_dim"):
+                      "conv_kernel", "input_dim"):
             v = getattr(self, field)
             if not isinstance(v, int) or v <= 0:
                 raise ValueError(f"encoder config field {field} must be a positive integer, got {v!r}")
@@ -37,10 +44,6 @@ class EncoderConfig:
             )
         if self.model_dim % 2:
             raise ValueError(f"encoder config field model_dim must be even, got {self.model_dim}")
-        if self.subsampling != 4:
-            raise ValueError(
-                f"encoder config field subsampling must be 4 (two stride-2 convolutions), got {self.subsampling}"
-            )
 
 
 DESK = EncoderConfig()
@@ -48,7 +51,7 @@ DESK = EncoderConfig()
 # Full-scale preset, used for analytic counting only (never instantiated).
 FULL_SCALE = EncoderConfig(
     num_layers=24, model_dim=1024, num_heads=8, ffn_expansion=4,
-    conv_kernel=32, subsampling=4, input_dim=128,
+    conv_kernel=32, input_dim=128,
 )
 
 
@@ -110,9 +113,6 @@ class Encoder(Module):
         self.child(f"adapter_{index}", adapter)
         self.adapters[index] = adapter
 
-    def subsampled_length(self, time: int) -> int:
-        return time // self.config.subsampling
-
     # -- forward ------------------------------------------------------------
 
     def _frontend(self, frames: Tensor) -> Tensor:
@@ -120,10 +120,10 @@ class Encoder(Module):
             raise ShapeError(
                 f"encoder input must be (batch, time, {self.config.input_dim}), got {frames.shape}"
             )
-        if frames.shape[1] < self.config.subsampling:
+        if frames.shape[1] < SUBSAMPLING:
             raise ShapeError(
                 f"sequence length {frames.shape[1]} is shorter than the frontend receptive field "
-                f"({self.config.subsampling})"
+                f"({SUBSAMPLING})"
             )
         with scope("frontend"):
             h = ops.swish(self.conv1(frames))

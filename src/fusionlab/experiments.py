@@ -4,7 +4,8 @@ Every command materializes its data from (config, seed), writes a frozen
 copy of the resolved configuration into its run directory together with
 metrics, a resource report, and the seed, prints a summary table, and
 returns the rows for programmatic callers.  Existing run directories are
-never overwritten.
+never overwritten, and every artifact file is written atomically, so an
+interrupted write leaves no partial file.
 
 Layout under the experiment's ``output_dir``::
 
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import itertools
 import json
 import re
@@ -38,7 +40,7 @@ from .accounting import (
     resource_report,
     throughput_environment,
 )
-from .checkpoint import load_checkpoint
+from .checkpoint import load_checkpoint, write_atomically
 from .config import SCHEMA, ConfigError, ExperimentConfig, build_config, config_sections, render_config
 from .encoder import FULL_SCALE, build_encoder
 from .fusion import HierarchicalFusionSpec, LinearFusionSpec, evenly_spaced_taps, layer_weight_norms
@@ -101,10 +103,22 @@ def _slug(label: str) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomically(path, buf.getvalue().encode())
+
+
+def _write_reference_csv(path: Path, rows: list[dict]) -> None:
+    """The closed-form counts against the published full-scale figures."""
+    _write_csv(
+        path,
+        ["label", "computed", "reference", "deviation_pct", "tolerance_pct", "within"],
+        [(r["label"], r["computed"], r["reference"], f"{r['deviation_pct']:.2f}",
+          "" if r["tolerance_pct"] is None else f"{r['tolerance_pct']:.0f}",
+          "" if r["within"] is None else r["within"]) for r in rows],
+    )
 
 
 def _write_metrics(path: Path, history: list[Metrics]) -> None:
@@ -117,8 +131,8 @@ def _write_metrics(path: Path, history: list[Metrics]) -> None:
 
 
 def _write_provenance(run_dir: Path, cfg: ExperimentConfig) -> None:
-    (run_dir / "resolved.ini").write_text(render_config(cfg))
-    (run_dir / "seed.txt").write_text(f"{cfg.seed}\n")
+    write_atomically(run_dir / "resolved.ini", render_config(cfg).encode())
+    write_atomically(run_dir / "seed.txt", f"{cfg.seed}\n".encode())
 
 
 def _write_resource_report(run_dir: Path, spec: ModelSpec, batch: int, seq_len: int,
@@ -126,12 +140,13 @@ def _write_resource_report(run_dir: Path, spec: ModelSpec, batch: int, seq_len: 
     report = resource_report(spec, batch, seq_len, throughput=throughput)
     payload = dataclasses.asdict(report)
     payload.update(batch=batch, seq_len=seq_len, environment=throughput_environment())
-    (run_dir / "resource_report.json").write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomically(run_dir / "resource_report.json",
+                     (json.dumps(payload, indent=2) + "\n").encode())
     return report
 
 
 def _write_result(run_dir: Path, payload: dict) -> None:
-    (run_dir / "result.json").write_text(json.dumps(payload, indent=2) + "\n")
+    write_atomically(run_dir / "result.json", (json.dumps(payload, indent=2) + "\n").encode())
 
 
 def _print_table(headers, rows) -> None:
@@ -350,14 +365,7 @@ def cmd_comparison(cfg: ExperimentConfig) -> list[dict]:
         [(r["strategy"], r["encoder_params"], r["head_params"], r["activation_bytes"],
           f"{r['examples_per_sec']:.2f}", f"{r['fer']:.4f}") for r in rows],
     )
-    reference = reference_table(FULL_SCALE)
-    _write_csv(
-        base_dir / "full_scale_reference.csv",
-        ["label", "computed", "reference", "deviation_pct", "tolerance_pct", "within"],
-        [(r["label"], r["computed"], r["reference"], f"{r['deviation_pct']:.2f}",
-          "" if r["tolerance_pct"] is None else f"{r['tolerance_pct']:.0f}",
-          "" if r["within"] is None else r["within"]) for r in reference],
-    )
+    _write_reference_csv(base_dir / "full_scale_reference.csv", reference_table(FULL_SCALE))
     _print_table(
         ["strategy", "enc params", "head params", "act bytes", "ex/s", "test fer"],
         [[r["strategy"], f"{r['encoder_params']:,}", f"{r['head_params']:,}",
@@ -377,13 +385,7 @@ def cmd_count_params(cfg: ExperimentConfig) -> list[dict]:
     rows = reference_table(target)
     run_dir = _fresh_dir(cfg.output_dir / "count-params")
     _write_provenance(run_dir, cfg)
-    _write_csv(
-        run_dir / "reference_counts.csv",
-        ["label", "computed", "reference", "deviation_pct", "tolerance_pct", "within"],
-        [(r["label"], r["computed"], r["reference"], f"{r['deviation_pct']:.2f}",
-          "" if r["tolerance_pct"] is None else f"{r['tolerance_pct']:.0f}",
-          "" if r["within"] is None else r["within"]) for r in rows],
-    )
+    _write_reference_csv(run_dir / "reference_counts.csv", rows)
     _print_table(
         ["configuration", "computed", "reference", "deviation", "within tol"],
         [[r["label"], f"{r['computed']:,}", f"{r['reference']:,}",

@@ -2,7 +2,8 @@
 
 Three families:
 
-* single-layer pass-through (the per-layer probing baseline),
+* single-layer pass-through (the per-layer probing baseline, which
+  needs no head: the classifier reads the tap directly),
 * linear fusion: concatenate taps, then a 1-to-4 layer MLP projector,
 * hierarchical fusion: per-tap 1-layer projectors ("FP") whose outputs
   are combined either pairwise (balanced) or through two bottom-to-middle
@@ -29,7 +30,6 @@ __all__ = [
     "HierarchicalFusionSpec",
     "LinearFusionHead",
     "HierarchicalFusionHead",
-    "single_layer_head",
     "build_fusion_head",
     "evenly_spaced_taps",
     "layer_weight_norms",
@@ -102,13 +102,6 @@ def _check_taps(taps, num_layers: int, minimum: int) -> None:
         raise ValueError(f"tap indices must be strictly increasing, got {taps}")
     if taps[0] < 0 or taps[-1] >= num_layers:
         raise ValueError(f"tap indices {taps} out of range for {num_layers} layers")
-
-
-def single_layer_head(taps, index: int) -> Tensor:
-    """Identity pass-through of one tap; downstream layers do the learning."""
-    if index not in taps:
-        raise KeyError(f"tap {index} was not captured; available: {taps.indices}")
-    return taps[index]
 
 
 class LinearFusionHead(Module):
@@ -215,8 +208,9 @@ class _Chain(Module):
         return state
 
 
-def build_fusion_head(spec, model_dim: int, seed: int, dtype=np.float32) -> Module:
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+def build_fusion_head(spec, model_dim: int, rng: np.random.Generator,
+                      dtype=np.float32) -> Module:
+    """The head a fusion spec describes, its weights drawn from ``rng``."""
     if isinstance(spec, LinearFusionSpec):
         return LinearFusionHead(spec, model_dim, rng, dtype)
     if isinstance(spec, HierarchicalFusionSpec):

@@ -12,32 +12,12 @@ import numpy as np
 
 from . import ops
 from .encoder import Encoder
-from .fusion import (
-    HierarchicalFusionHead,
-    HierarchicalFusionSpec,
-    LinearFusionHead,
-    LinearFusionSpec,
-)
+from .fusion import build_fusion_head
 from .layers import Linear
 from .params import Module
 from .tensor import ShapeError, Tensor, no_grad, scope
 
-__all__ = ["DownstreamModel", "ProbeBank", "head_output_dim", "build_model"]
-
-
-def head_output_dim(fusion_spec, model_dim: int) -> int:
-    """Feature width the classifier sees for a given head choice."""
-    if fusion_spec is None:
-        return model_dim
-    return fusion_spec.output_dim
-
-
-def _build_head(fusion_spec, model_dim: int, rng, dtype):
-    if isinstance(fusion_spec, LinearFusionSpec):
-        return LinearFusionHead(fusion_spec, model_dim, rng, dtype)
-    if isinstance(fusion_spec, HierarchicalFusionSpec):
-        return HierarchicalFusionHead(fusion_spec, model_dim, rng, dtype)
-    raise TypeError(f"not a fusion spec: {fusion_spec!r}")
+__all__ = ["DownstreamModel", "ProbeBank", "build_model"]
 
 
 class DownstreamModel(Module):
@@ -64,15 +44,15 @@ class DownstreamModel(Module):
                 raise ValueError(f"probe tap {tap} out of range for {cfg.num_layers} layers")
             self.tap_indices = (tap,)
             self.head = None
+            width = cfg.model_dim
         else:
             if probe_tap is not None:
                 raise ValueError("probe_tap only applies when no fusion head is used")
             fusion_spec.validate(cfg.num_layers)
             self.tap_indices = tuple(fusion_spec.tap_indices)
-            self.head = self.child("head", _build_head(fusion_spec, cfg.model_dim, rng, dtype))
-        self.classifier = self.child(
-            "classifier", Linear(head_output_dim(fusion_spec, cfg.model_dim), num_classes, rng, dtype)
-        )
+            self.head = self.child("head", build_fusion_head(fusion_spec, cfg.model_dim, rng, dtype))
+            width = fusion_spec.output_dim
+        self.classifier = self.child("classifier", Linear(width, num_classes, rng, dtype))
         self.num_classes = num_classes
 
     def logits(self, frames: Tensor) -> Tensor:

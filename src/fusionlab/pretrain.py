@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ops
 from .checkpoint import save_checkpoint
-from .encoder import Encoder
+from .encoder import SUBSAMPLING, Encoder
 from .layers import Linear
 from .params import Module, set_trainable, state_dict
 from .tensor import Tensor, scope
@@ -35,8 +35,7 @@ __all__ = [
 class PretrainConfig:
     codebook_size: int = 64
     code_dim: int = 16
-    mask_prob: float = 0.15
-    mask_span: int = 4          # frames per mask decision; equals the subsampling factor
+    mask_prob: float = 0.15     # per output position; each hides SUBSAMPLING frames
     steps: int = 2000
     batch_size: int = 16
     crop_len: int = 64
@@ -47,7 +46,7 @@ class PretrainConfig:
     gate_window: int = 50
 
     def validate(self) -> None:
-        for name in ("codebook_size", "code_dim", "mask_span", "steps",
+        for name in ("codebook_size", "code_dim", "steps",
                      "batch_size", "crop_len", "gate_window"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"pretrain config field {name} must be positive")
@@ -55,9 +54,10 @@ class PretrainConfig:
             raise ValueError("mask_prob 0 would hide nothing; the objective needs masked positions")
         if not 0 < self.mask_prob <= 1:
             raise ValueError(f"mask_prob must be in (0, 1], got {self.mask_prob}")
-        if self.crop_len % self.mask_span != 0:
+        if self.crop_len % SUBSAMPLING != 0:
             raise ValueError(
-                f"crop_len {self.crop_len} must be a multiple of mask_span {self.mask_span}"
+                f"crop_len {self.crop_len} must be a multiple of the subsampling "
+                f"factor {SUBSAMPLING}"
             )
         if self.steps < 2 * self.gate_window:
             raise ValueError(
@@ -78,13 +78,13 @@ class RandomQuantizer:
             rng.normal(size=(input_dim, cfg.code_dim)) / np.sqrt(input_dim)
         ).astype(np.float32)
         self.codebook = rng.normal(size=(cfg.codebook_size, cfg.code_dim)).astype(np.float32)
-        self.span = cfg.mask_span
 
     def codes(self, frames: np.ndarray) -> np.ndarray:
-        """(batch, time, input_dim) clean frames to (batch, time // span) codes."""
+        """(batch, time, input_dim) clean frames to (batch, time // SUBSAMPLING) codes."""
         b, t, _ = frames.shape
-        windows = t // self.span
-        pooled = frames[:, : windows * self.span].reshape(b, windows, self.span, -1).mean(axis=2)
+        windows = t // SUBSAMPLING
+        pooled = frames[:, : windows * SUBSAMPLING].reshape(b, windows, SUBSAMPLING, -1)
+        pooled = pooled.mean(axis=2)
         z = pooled @ self.projection
         # argmin ||z - c||^2 == argmin(||c||^2 - 2 z.c), no need for ||z||^2
         scores = 2.0 * z @ self.codebook.T - (self.codebook ** 2).sum(axis=1)
@@ -105,11 +105,6 @@ class MaskedPretrainModel(Module):
     def __init__(self, encoder: Encoder, cfg: PretrainConfig, dtype=np.float32):
         super().__init__()
         cfg.validate()
-        if cfg.mask_span != encoder.config.subsampling:
-            raise ValueError(
-                f"mask_span {cfg.mask_span} must match the encoder subsampling "
-                f"{encoder.config.subsampling} so each hidden window is one output position"
-            )
         self.cfg = cfg
         self.quantizer = RandomQuantizer(encoder.config.input_dim, cfg)
         init_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 6]))
@@ -134,12 +129,12 @@ class MaskedPretrainModel(Module):
         accepted for trainer compatibility and ignored (targets are
         self-generated)."""
         b, t, _ = frames.shape
-        span = self.cfg.mask_span
-        if t % span != 0:
-            raise ValueError(f"sequence length {t} not a multiple of mask_span {span}")
+        if t % SUBSAMPLING != 0:
+            raise ValueError(f"sequence length {t} not a multiple of the subsampling "
+                             f"factor {SUBSAMPLING}")
         codes = self.quantizer.codes(frames.data)
-        mask = self.sample_mask(b, t // span)
-        per_frame = np.repeat(mask, span, axis=1)[..., None]
+        mask = self.sample_mask(b, t // SUBSAMPLING)
+        per_frame = np.repeat(mask, SUBSAMPLING, axis=1)[..., None]
         with scope("masking"):
             keep = Tensor((~per_frame).astype(frames.data.dtype))
             hide = Tensor(per_frame.astype(frames.data.dtype))
@@ -184,7 +179,6 @@ def pretrain_masked_prediction(encoder: Encoder, dataset, cfg: PretrainConfig,
         crop_len=cfg.crop_len,
         ema_decay=0.0,
         seed=cfg.seed,
-        subsampling=cfg.mask_span,
     )
     try:
         trainer = Trainer(model, dataset, train_cfg, use_ema=False)

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import SUBSAMPLING
+
 __all__ = ["SynthConfig", "Utterance", "EmissionModel", "generate_corpus", "linear_probe_fer"]
 
 _SPLIT_STREAMS = {"pretrain": 1, "train": 2, "test": 3}
@@ -39,12 +41,11 @@ class SynthConfig:
     test_utterances: int = 64
     self_transition: float = 0.1
     latent_rho: float = 0.95
-    subsampling: int = 4
 
     def validate(self) -> None:
         if self.vocab < 2:
             raise ValueError(f"vocab must be at least 2, got {self.vocab}")
-        for name in ("input_dim", "emission_rank", "subsampling",
+        for name in ("input_dim", "emission_rank",
                      "pretrain_utterances", "train_utterances", "test_utterances"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"synth config field {name} must be positive")
@@ -61,7 +62,7 @@ class SynthConfig:
             raise ValueError(f"self_transition must be in [0, 1), got {self.self_transition}")
         if not 0 <= self.latent_rho < 1:
             raise ValueError(f"latent_rho must be in [0, 1), got {self.latent_rho}")
-        if self.frames_per_symbol[0] < self.subsampling:
+        if self.frames_per_symbol[0] < SUBSAMPLING:
             raise ValueError(
                 "symbols shorter than the subsampling window would make majority labels meaningless"
             )
@@ -128,7 +129,7 @@ def _utterance(cfg: SynthConfig, emit: EmissionModel, rng: np.random.Generator) 
     frames = emit.means[frame_symbols] + structured
     if cfg.noise_std > 0:
         frames = frames + cfg.noise_std * rng.normal(size=frames.shape)
-    labels = _majority_labels(frame_symbols, cfg.subsampling, cfg.vocab)
+    labels = _majority_labels(frame_symbols, SUBSAMPLING, cfg.vocab)
     return Utterance(frames.astype(np.float32), labels)
 
 
@@ -150,8 +151,7 @@ def generate_corpus(cfg: SynthConfig, seed: int, split: str = "train",
     return [_utterance(cfg, emit, rng) for _ in range(count)]
 
 
-def linear_probe_fer(train: list[Utterance], test: list[Utterance],
-                     subsampling: int = 4) -> float:
+def linear_probe_fer(train: list[Utterance], test: list[Utterance]) -> float:
     """Frame error of a closed-form least-squares classifier on window-mean
     raw frames; the corpus-solvability oracle, no model involved."""
 
@@ -159,7 +159,7 @@ def linear_probe_fer(train: list[Utterance], test: list[Utterance],
         xs, ys = [], []
         for utt in data:
             steps = len(utt.labels)
-            windows = utt.frames[: steps * subsampling].reshape(steps, subsampling, -1)
+            windows = utt.frames[: steps * SUBSAMPLING].reshape(steps, SUBSAMPLING, -1)
             xs.append(windows.mean(axis=1))
             ys.append(utt.labels)
         return np.concatenate(xs), np.concatenate(ys)

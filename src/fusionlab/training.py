@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encoder import SUBSAMPLING
 from .params import Module, Parameter, backward
 from .tensor import Tensor
 
@@ -45,31 +46,23 @@ class TrainConfig:
     batch_size: int = 16
     crop_len: int = 64
     ema_decay: float = 0.9999
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
     log_every: int = 50
-    subsampling: int = 4
 
     def validate(self) -> None:
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("steps", "batch_size", "crop_len", "log_every", "subsampling"):
+        for name in ("steps", "batch_size", "crop_len", "log_every"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"train config field {name} must be positive")
         if self.warmup_steps < 0:
             raise ValueError(f"warmup_steps cannot be negative, got {self.warmup_steps}")
         if not 0.0 <= self.ema_decay < 1.0:
             raise ValueError(f"ema_decay must be in [0, 1), got {self.ema_decay}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("Adam betas must be in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.crop_len % self.subsampling != 0:
+        if self.crop_len % SUBSAMPLING != 0:
             raise ValueError(
                 f"crop_len {self.crop_len} must be a multiple of the "
-                f"subsampling factor {self.subsampling} so crops align with the label grid"
+                f"subsampling factor {SUBSAMPLING} so crops align with the label grid"
             )
 
 
@@ -90,6 +83,10 @@ class Adam:
     arrays into the parameters.
     """
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(self, params: dict[str, Parameter], cfg: TrainConfig):
         self.params = params
         self.cfg = cfg
@@ -106,7 +103,7 @@ class Adam:
     def apply(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
         lr = self.learning_rate_at(self.t)
-        b1, b2, eps = self.cfg.beta1, self.cfg.beta2, self.cfg.eps
+        b1, b2, eps = self.beta1, self.beta2, self.eps
         for name in grads:
             if name not in self.params:
                 raise KeyError(f"gradient for unknown parameter {name!r}")
@@ -140,23 +137,21 @@ class CropSampler:
     with the subsampled output grid.
     """
 
-    def __init__(self, dataset, crop_len: int, batch_size: int,
-                 rng: np.random.Generator, subsampling: int = 4):
+    def __init__(self, dataset, crop_len: int, batch_size: int, rng: np.random.Generator):
         if not dataset:
             raise ValueError("cannot sample batches from an empty dataset")
-        if crop_len % subsampling != 0:
-            raise ValueError(f"crop_len {crop_len} not a multiple of subsampling {subsampling}")
+        if crop_len % SUBSAMPLING != 0:
+            raise ValueError(f"crop_len {crop_len} not a multiple of subsampling {SUBSAMPLING}")
         frames, labels = [], []
         for utt in dataset:
-            t = len(utt.labels) * subsampling
+            t = len(utt.labels) * SUBSAMPLING
             frames.append(utt.frames[:t])
             labels.append(utt.labels)
         self.frames = np.concatenate(frames, axis=0)
         self.labels = np.concatenate(labels, axis=0)
         self.crop_len = crop_len
-        self.crop_windows = crop_len // subsampling
+        self.crop_windows = crop_len // SUBSAMPLING
         self.batch_size = batch_size
-        self.subsampling = subsampling
         self.rng = rng
         if len(self.labels) < self.crop_windows:
             raise ValueError(
@@ -168,7 +163,7 @@ class CropSampler:
         starts = self.rng.integers(0, len(self.labels) - self.crop_windows + 1,
                                    size=self.batch_size)
         frames = np.stack([
-            self.frames[s * self.subsampling: s * self.subsampling + self.crop_len]
+            self.frames[s * SUBSAMPLING: s * SUBSAMPLING + self.crop_len]
             for s in starts
         ])
         labels = np.stack([self.labels[s: s + self.crop_windows] for s in starts])
@@ -189,8 +184,7 @@ class Trainer:
         self.optimizer = Adam(trainable, cfg)
         # Stream 4 here; corpus generation reserves streams 0 through 3.
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 4]))
-        self.sampler = CropSampler(dataset, cfg.crop_len, cfg.batch_size, rng,
-                                   cfg.subsampling)
+        self.sampler = CropSampler(dataset, cfg.crop_len, cfg.batch_size, rng)
         self.use_ema = use_ema
         self.shadow = (
             {name: p.value.data.copy() for name, p in trainable.items()}
@@ -264,28 +258,28 @@ def train_downstream(model: Module, dataset, cfg: TrainConfig,
     return history
 
 
-def evaluate_fer(model, dataset, subsampling: int = 4) -> float:
+def evaluate_fer(model, dataset) -> float:
     """Frame error rate over whole utterances, one at a time, no grad."""
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
     errors = 0
     total = 0
     for utt in dataset:
-        t = len(utt.labels) * subsampling
+        t = len(utt.labels) * SUBSAMPLING
         preds = model.predictions(Tensor(utt.frames[None, :t]))[0]
         errors += int((preds != utt.labels).sum())
         total += len(utt.labels)
     return errors / total
 
 
-def evaluate_fer_per_tap(bank, dataset, subsampling: int = 4) -> dict[int, float]:
+def evaluate_fer_per_tap(bank, dataset) -> dict[int, float]:
     """Per-tap frame error for a bank of probes sharing one encoder."""
     if not dataset:
         raise ValueError("cannot evaluate on an empty dataset")
     errors = np.zeros(len(bank.tap_indices), dtype=np.int64)
     total = 0
     for utt in dataset:
-        t = len(utt.labels) * subsampling
+        t = len(utt.labels) * SUBSAMPLING
         preds = bank.predictions(Tensor(utt.frames[None, :t]))[:, 0]
         errors += (preds != utt.labels).sum(axis=1)
         total += len(utt.labels)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fusionlab.config import (
+    SCHEMA,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -87,8 +88,6 @@ def test_cross_section_consistency_rules():
     # matching explicit value is fine
     cfg = build_config({"synth": {"input_dim": "16"}})
     assert cfg.synth.input_dim == 16
-    with pytest.raises(ConfigError, match="mask_span"):
-        build_config({"pretrain": {"mask_span": "8"}})
 
 
 def test_seed_flows_into_train_and_pretrain():
@@ -147,3 +146,25 @@ def test_config_sections_cover_everything():
     sections = config_sections(cfg)
     assert set(sections) == {"experiment", "encoder", "fusion", "peft", "train", "pretrain", "synth"}
     assert sections["fusion"]["taps"] == "1,3,5"
+
+
+DATACLASS_KEYS = [(section, key) for section in ("encoder", "train", "pretrain", "synth")
+                  for key in SCHEMA[section]]
+
+
+@pytest.mark.parametrize("section,key", DATACLASS_KEYS,
+                         ids=[f"{s}.{k}" for s, k in DATACLASS_KEYS])
+def test_every_dataclass_key_takes_its_rendered_default(section, key):
+    base = build_config({})
+    raw = config_sections(base)[section][key]
+    assert build_config({section: {key: raw}}) == base
+
+
+@pytest.mark.parametrize("section,key", [("encoder", "subsampling"), ("pretrain", "mask_span")])
+def test_resolved_ini_naming_a_retired_key_is_refused(tmp_path, section, key):
+    # what an older resolved.ini held: the frontend fixes both at 4
+    text = render_config(build_config({})).replace(f"[{section}]\n", f"[{section}]\n{key} = 4\n")
+    path = tmp_path / "resolved.ini"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"unknown key '{key}' in \[{section}\]"):
+        load_config(path)

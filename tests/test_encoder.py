@@ -4,7 +4,7 @@ attachment rules, determinism, and lazy evaluation above the top tap."""
 import numpy as np
 import pytest
 
-from fusionlab.encoder import DESK, FULL_SCALE, Encoder, EncoderConfig, build_encoder
+from fusionlab.encoder import DESK, FULL_SCALE, SUBSAMPLING, Encoder, EncoderConfig, build_encoder
 from fusionlab.peft import Adapter
 from fusionlab.tensor import OpCounter, ShapeError, Tensor, use_counter
 
@@ -18,7 +18,7 @@ def test_output_shape_and_subsampling():
     enc = build_encoder(DESK, seed=0)
     out = enc.encode(frames(time=32))
     assert out.shape == (2, 8, 64)
-    assert enc.subsampled_length(32) == 8
+    assert SUBSAMPLING == DESK.subsampling == FULL_SCALE.subsampling == 4
     # valid convolutions: odd leftovers are dropped, not padded
     assert enc.encode(frames(time=34)).shape == (2, 8, 64)
 
@@ -84,8 +84,8 @@ def test_config_validation():
         EncoderConfig(num_heads=5).validate()  # does not divide 64
     with pytest.raises(ValueError):
         EncoderConfig(model_dim=63, num_heads=1).validate()
-    with pytest.raises(ValueError):
-        EncoderConfig(subsampling=2).validate()
+    with pytest.raises(TypeError):
+        EncoderConfig(subsampling=2)  # fixed by the frontend, not a setting
     with pytest.raises(ValueError):
         EncoderConfig(num_layers=0).validate()
     FULL_SCALE.validate()

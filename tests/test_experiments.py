@@ -237,3 +237,37 @@ def test_sweep_validates_grid_before_creating_anything(lab):
     with pytest.raises(ConfigError):
         cmd_sweep(cfg, {"train.steps": ["2", "oops"]})
     assert not (lab / "sweep").exists()
+
+
+def test_failed_artifact_writes_keep_the_old_files(tmp_path, monkeypatch):
+    from pathlib import Path
+
+    cfg = tiny_config(tmp_path / "lab")
+    experiments._write_csv(tmp_path / "table.csv", ["step", "loss"], [(1, "0.5")])
+    experiments._write_result(tmp_path, {"loss": 0.5})
+    experiments._write_provenance(tmp_path, cfg)
+    experiments._write_resource_report(
+        tmp_path, ModelSpec(cfg.encoder, None, PeftSpec(), cfg.synth.vocab), 2, 16)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["resolved.ini", "resource_report.json", "result.json",
+                              "seed.txt", "table.csv"]
+
+    def torn_write(self, data):
+        with open(self, "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    changed = tiny_config(tmp_path / "other", **{"experiment.seed": "5"})
+    writers = [
+        lambda: experiments._write_csv(tmp_path / "table.csv", ["step"], [(2,)] * 50),
+        lambda: experiments._write_result(tmp_path, {"rows": [2] * 50}),
+        lambda: experiments._write_provenance(tmp_path, changed),
+        lambda: experiments._write_resource_report(
+            tmp_path, ModelSpec(changed.encoder, None, PeftSpec(), 7), 4, 32),
+    ]
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    for write in writers:
+        with pytest.raises(OSError, match="disk full"):
+            write()
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -13,7 +13,6 @@ from fusionlab.fusion import (
     build_fusion_head,
     evenly_spaced_taps,
     layer_weight_norms,
-    single_layer_head,
 )
 from fusionlab.tensor import Tensor
 
@@ -51,19 +50,11 @@ def taps_fixture(indices=(1, 3, 5), seed=0):
     return enc.encode_with_taps(x, indices)
 
 
-def test_single_layer_head_is_identity():
-    taps = taps_fixture()
-    out = single_layer_head(taps, 3)
-    assert out is taps[3]
-    with pytest.raises(KeyError):
-        single_layer_head(taps, 2)
-
-
 def test_linear_head_shapes_and_depth():
     taps = taps_fixture()
     for depth in (1, 2, 3, 4):
         spec = LinearFusionSpec(tap_indices=(1, 3, 5), depth=depth, width=64)
-        head = build_fusion_head(spec, model_dim=64, seed=0)
+        head = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(0))
         out = head(taps)
         assert out.shape == (2, 8, 64)
         assert out.data.dtype == np.float32
@@ -72,7 +63,7 @@ def test_linear_head_shapes_and_depth():
 def test_linear_head_param_count_closed_form():
     for n, depth, width in [(3, 1, 64), (3, 3, 64), (6, 1, 64), (2, 4, 48)]:
         spec = LinearFusionSpec(tap_indices=tuple(range(n)), depth=depth, width=width)
-        head = build_fusion_head(spec, model_dim=64, seed=0)
+        head = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(0))
         expect = (n * 64 + 1) * width + (depth - 1) * (width + 1) * width
         assert head.num_params() == expect
 
@@ -82,7 +73,7 @@ def test_balanced_head_shapes_odd_and_even_tap_counts():
         taps = taps_fixture(indices)
         spec = HierarchicalFusionSpec(tap_indices=indices, variant="balanced",
                                       fp_dim=32, final_dim=64, final_depth=3)
-        head = build_fusion_head(spec, model_dim=64, seed=0)
+        head = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(0))
         assert head(taps).shape == (2, 8, 64)
 
 
@@ -91,7 +82,7 @@ def test_unbalanced_head_shapes():
         taps = taps_fixture(indices)
         spec = HierarchicalFusionSpec(tap_indices=indices, variant="unbalanced",
                                       fp_dim=32, final_dim=64, final_depth=3)
-        head = build_fusion_head(spec, model_dim=64, seed=0)
+        head = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(0))
         assert head(taps).shape == (2, 8, 64)
 
 
@@ -99,7 +90,7 @@ def test_balanced_head_param_count_closed_form():
     n, d, fp, fd = 4, 64, 32, 64
     spec = HierarchicalFusionSpec(tap_indices=(0, 1, 3, 5), variant="balanced",
                                   fp_dim=fp, final_dim=fd, final_depth=3)
-    head = build_fusion_head(spec, model_dim=d, seed=0)
+    head = build_fusion_head(spec, model_dim=d, rng=np.random.default_rng(0))
     expect = n * (d + 1) * fp + (n * fp + 1) * fd + 2 * (fd + 1) * fd
     assert head.num_params() == expect
 
@@ -108,7 +99,7 @@ def test_unbalanced_head_param_count_closed_form():
     n, d, fp, fd = 5, 64, 32, 64
     spec = HierarchicalFusionSpec(tap_indices=(0, 1, 2, 4, 5), variant="unbalanced",
                                   fp_dim=fp, final_dim=fd, final_depth=3)
-    head = build_fusion_head(spec, model_dim=d, seed=0)
+    head = build_fusion_head(spec, model_dim=d, rng=np.random.default_rng(0))
     # two chains: each starts (d+1)*fp and folds in remaining taps at
     # (fp+d+1)*fp per step; split 3 bottom / 2 top for five taps
     chains = 2 * (d + 1) * fp + ((3 - 1) + (2 - 1)) * (fp + d + 1) * fp
@@ -119,16 +110,16 @@ def test_unbalanced_head_param_count_closed_form():
 def test_heads_are_deterministic_per_seed():
     taps = taps_fixture()
     spec = LinearFusionSpec(tap_indices=(1, 3, 5), depth=2, width=64)
-    a = build_fusion_head(spec, model_dim=64, seed=5)(taps).data
-    b = build_fusion_head(spec, model_dim=64, seed=5)(taps).data
-    c = build_fusion_head(spec, model_dim=64, seed=6)(taps).data
+    a = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(5))(taps).data
+    b = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(5))(taps).data
+    c = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(6))(taps).data
     np.testing.assert_array_equal(a, b)
     assert np.abs(a - c).max() > 0
 
 
 def test_weight_norms_per_tap():
     spec = LinearFusionSpec(tap_indices=(0, 2, 5), depth=1, width=64)
-    head = build_fusion_head(spec, model_dim=64, seed=0)
+    head = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(0))
     norms = layer_weight_norms(head)
     assert [tap for tap, _ in norms] == [0, 2, 5]
     assert all(v > 0 for _, v in norms)
@@ -141,7 +132,7 @@ def test_weight_norms_per_tap():
 
 def test_weight_norms_reject_hierarchical_heads():
     spec = HierarchicalFusionSpec(tap_indices=(1, 3, 5))
-    head = build_fusion_head(spec, model_dim=64, seed=0)
+    head = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(0))
     with pytest.raises(TypeError):
         layer_weight_norms(head)
 
@@ -160,11 +151,12 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         HierarchicalFusionSpec(tap_indices=(1, 3), variant="diagonal").validate(6)
     with pytest.raises(TypeError):
-        build_fusion_head(object(), model_dim=64, seed=0)
+        build_fusion_head(object(), model_dim=64, rng=np.random.default_rng(0))
 
 
 def test_missing_tap_raises_key_error():
     taps = taps_fixture((1, 3))
-    head = build_fusion_head(LinearFusionSpec(tap_indices=(1, 3, 5)), model_dim=64, seed=0)
+    head = build_fusion_head(LinearFusionSpec(tap_indices=(1, 3, 5)), model_dim=64,
+                             rng=np.random.default_rng(0))
     with pytest.raises(KeyError):
         head(taps)

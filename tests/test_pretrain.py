@@ -66,18 +66,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         PretrainConfig(mask_prob=1.5).validate()
     with pytest.raises(ValueError):
-        PretrainConfig(crop_len=30).validate()  # not a multiple of the span
+        PretrainConfig(crop_len=30).validate()  # not a multiple of the subsampling factor
     with pytest.raises(ValueError):
         PretrainConfig(steps=60, gate_window=50).validate()
     with pytest.raises(ValueError):
         PretrainConfig(min_loss_drop=1.0).validate()
     PretrainConfig().validate()
-
-
-def test_mask_span_must_match_subsampling():
-    enc = build_encoder(DESK, seed=0)
-    with pytest.raises(ValueError, match="subsampling"):
-        MaskedPretrainModel(enc, PretrainConfig(mask_span=8, crop_len=64))
 
 
 def test_loss_is_finite_scalar_and_uses_only_masked_rows():

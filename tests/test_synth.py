@@ -68,7 +68,7 @@ def test_noiseless_task_is_linearly_solvable():
     cfg = SynthConfig(noise_std=0.0)
     train = generate_corpus(cfg, seed=2, split="train")
     test = generate_corpus(cfg, seed=2, split="test")
-    assert linear_probe_fer(train, test, cfg.subsampling) < 0.05
+    assert linear_probe_fer(train, test) < 0.05
 
 
 def test_probe_floor_rises_with_structure_and_noise():
@@ -78,7 +78,7 @@ def test_probe_floor_rises_with_structure_and_noise():
         cfg = SynthConfig(**kw)
         train = generate_corpus(cfg, seed=2, split="train", count=120)
         test = generate_corpus(cfg, seed=2, split="test", count=60)
-        return linear_probe_fer(train, test, cfg.subsampling)
+        return linear_probe_fer(train, test)
 
     default = fer_at()
     structured = fer_at(structure_scale=1.0)
@@ -91,7 +91,7 @@ def test_default_noise_probe_beats_chance_by_wide_margin():
     cfg = SynthConfig()
     train = generate_corpus(cfg, seed=2, split="train", count=120)
     test = generate_corpus(cfg, seed=2, split="test", count=60)
-    fer = linear_probe_fer(train, test, cfg.subsampling)
+    fer = linear_probe_fer(train, test)
     chance = 1.0 - 1.0 / cfg.vocab
     assert fer < chance - 0.2, f"probe FER {fer:.3f} vs chance {chance:.3f}"
     assert fer > 0.02  # and the task is not degenerate
