@@ -8,10 +8,11 @@ Two independent routes measure the same quantities:
   the shared per-op cost formulas from :mod:`fusionlab.ops`, without
   allocating any tensors.
 
-Tests require the two to agree (exactly for parameter counts, within 1%
-for backward FLOPs), so the symbolic trace below mirrors the live model
-code op for op, including which inputs need gradients and which arrays
-each op retains for the backward pass.
+The unit tests require the two to agree exactly on parameter counts,
+forward and backward FLOPs and retained bytes (the acceptance gate on
+backward FLOPs alone allows a 1% gap), so the symbolic trace below
+mirrors the live model code op for op, including which inputs need
+gradients and which arrays each op retains for the backward pass.
 """
 
 from __future__ import annotations
@@ -208,7 +209,9 @@ def count_trainable_params(encoder_config: EncoderConfig, fusion=None,
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Everything the analytic route needs to price a training step."""
+    """One downstream model: what :func:`fusionlab.model.build_model` builds
+    and what the analytic route prices.  The live model takes its taps,
+    classifier width and validity check from here."""
 
     encoder: EncoderConfig = DESK
     fusion: object | None = None
@@ -538,18 +541,7 @@ def _hier_head(tr: _Trace, feats: list[_Sym], spec: HierarchicalFusionSpec, mode
     b, t, _ = feats[0].shape
     if spec.variant == "balanced":
         projected = [_lin(tr, f, spec.fp_dim, _TRAINED, model_dim) for f in feats]
-        pairs = []
-        for i in range(0, len(projected), 2):
-            pair = projected[i : i + 2]
-            if len(pair) == 2:
-                pairs.append(tr.movement((b, t, 2 * spec.fp_dim), *pair))
-            else:
-                pairs.append(pair[0])
-        if len(pairs) > 1:
-            width = sum(p.shape[-1] for p in pairs)
-            h = tr.movement((b, t, width), *pairs)
-        else:
-            h = pairs[0]
+        h = tr.movement((b, t, len(feats) * spec.fp_dim), *projected)
     else:
         split = (len(feats) + 1) // 2
 

@@ -12,8 +12,7 @@ from .layers import ConformerBlock, Conv1d, Linear, sinusoidal_positions
 from .params import Module
 from .tensor import ShapeError, Tensor, scope
 
-__all__ = ["SUBSAMPLING", "EncoderConfig", "DESK", "FULL_SCALE", "FeatureTaps", "Encoder",
-           "build_encoder"]
+__all__ = ["SUBSAMPLING", "EncoderConfig", "DESK", "FULL_SCALE", "Encoder", "build_encoder"]
 
 # Frames per output position, fixed by the frontend's two stride-2 convolutions.
 SUBSAMPLING = 4
@@ -53,32 +52,6 @@ FULL_SCALE = EncoderConfig(
     num_layers=24, model_dim=1024, num_heads=8, ffn_expansion=4,
     conv_kernel=32, input_dim=128,
 )
-
-
-class FeatureTaps:
-    """Ordered layer-index -> feature map; index i is the output of block i
-    (after any adapter attached to that block)."""
-
-    def __init__(self, entries: dict[int, Tensor]):
-        self.indices = tuple(sorted(entries))
-        self.taps = {i: entries[i] for i in self.indices}
-        shapes = {t.shape for t in self.taps.values()}
-        if len(shapes) > 1:
-            raise ShapeError(f"feature taps disagree on shape: {sorted(shapes)}")
-
-    def __getitem__(self, index: int) -> Tensor:
-        if index not in self.taps:
-            raise KeyError(f"no tap for layer {index}; available: {self.indices}")
-        return self.taps[index]
-
-    def __contains__(self, index: int) -> bool:
-        return index in self.taps
-
-    def __len__(self) -> int:
-        return len(self.taps)
-
-    def features(self) -> list[Tensor]:
-        return [self.taps[i] for i in self.indices]
 
 
 class Encoder(Module):
@@ -132,11 +105,13 @@ class Encoder(Module):
             pe = sinusoidal_positions(h.shape[1], self.config.model_dim, self.dtype)
             return ops.add(h, Tensor(pe))
 
-    def encode_with_taps(self, frames: Tensor, tap_indices) -> FeatureTaps:
+    def encode_with_taps(self, frames: Tensor, tap_indices) -> dict[int, Tensor]:
         """Run the frontend and blocks up to the highest requested tap.
 
-        Blocks above the highest tap are skipped entirely, so they record
-        no forward ops.  Adapter outputs replace the layer output stream.
+        Returns layer index -> output of that block (after any adapter
+        attached to it), in ascending layer order.  Blocks above the
+        highest tap are skipped entirely, so they record no forward ops.
+        Adapter outputs replace the layer output stream.
         """
         taps = tuple(tap_indices)
         if not taps:
@@ -158,7 +133,7 @@ class Encoder(Module):
                         h = self.adapters[i](h)
                 if i in wanted:
                     collected[i] = h
-        return FeatureTaps(collected)
+        return collected
 
     def encode(self, frames: Tensor) -> Tensor:
         """Top-layer output only."""
@@ -167,6 +142,5 @@ class Encoder(Module):
 
 
 def build_encoder(config: EncoderConfig, seed: int, dtype=np.float32) -> Encoder:
-    config.validate()
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return Encoder(config, rng, dtype)

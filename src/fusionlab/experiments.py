@@ -403,7 +403,6 @@ def _run_training(cfg: ExperimentConfig, run_dir: Path,
                   state: dict[str, np.ndarray] | None) -> dict:
     """One self-contained training run of the configured model."""
     spec = ModelSpec(cfg.encoder, cfg.fusion, cfg.peft, cfg.synth.vocab)
-    spec.validate()
     model = build_model(spec, cfg.seed, state)
     train_set = generate_corpus(cfg.synth, cfg.seed, "train")
     test_set = generate_corpus(cfg.synth, cfg.seed, "test")

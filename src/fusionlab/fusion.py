@@ -6,9 +6,9 @@ Three families:
   needs no head: the classifier reads the tap directly),
 * linear fusion: concatenate taps, then a 1-to-4 layer MLP projector,
 * hierarchical fusion: per-tap 1-layer projectors ("FP") whose outputs
-  are combined either pairwise (balanced) or through two bottom-to-middle
-  and top-to-middle chains (unbalanced), then a 3-layer concat-and-project
-  stack.
+  are either concatenated in tap order (balanced) or folded through two
+  bottom-to-middle and top-to-middle chains (unbalanced), then a 3-layer
+  concat-and-project stack.
 
 Tap order is semantic everywhere: features are concatenated in ascending
 layer order.
@@ -108,7 +108,6 @@ class LinearFusionHead(Module):
     def __init__(self, spec: LinearFusionSpec, model_dim: int,
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        spec.validate(num_layers=(spec.tap_indices[-1] + 1) if spec.tap_indices else 1)
         self.spec = spec
         self.model_dim = model_dim
         n = len(spec.tap_indices)
@@ -129,17 +128,12 @@ class LinearFusionHead(Module):
                 h = layer(h)
         return h
 
-    def first_layer_weight(self) -> np.ndarray:
-        return self.layers[0].w.value.data
-
 
 class HierarchicalFusionHead(Module):
     def __init__(self, spec: HierarchicalFusionSpec, model_dim: int,
                  rng: np.random.Generator, dtype=np.float32):
         super().__init__()
-        spec.validate(num_layers=(spec.tap_indices[-1] + 1) if spec.tap_indices else 1)
         self.spec = spec
-        self.model_dim = model_dim
         n = len(spec.tap_indices)
         if spec.variant == "balanced":
             self.fps = [
@@ -173,12 +167,7 @@ class HierarchicalFusionHead(Module):
         feats = [taps[i] for i in self.spec.tap_indices]
         with scope("fusion"):
             if self.spec.variant == "balanced":
-                projected = [fp(f) for fp, f in zip(self.fps, feats)]
-                pairs = []
-                for i in range(0, len(projected), 2):
-                    pair = projected[i : i + 2]
-                    pairs.append(ops.concat(pair, axis=-1) if len(pair) == 2 else pair[0])
-                h = ops.concat(pairs, axis=-1) if len(pairs) > 1 else pairs[0]
+                h = ops.concat([fp(f) for fp, f in zip(self.fps, feats)], axis=-1)
             else:
                 bottom = self.bottom(feats[: self.split])
                 top = self.top(list(reversed(feats[self.split :])))
@@ -226,7 +215,7 @@ def layer_weight_norms(head) -> list[tuple[int, float]]:
     """
     if not isinstance(head, LinearFusionHead):
         raise TypeError("weight-norm analysis applies to linear fusion heads only")
-    w = head.first_layer_weight()
+    w = head.layers[0].w.value.data
     d = head.model_dim
     out = []
     for slot, tap in enumerate(head.spec.tap_indices):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ops
+from .accounting import ModelSpec
 from .encoder import Encoder
 from .fusion import build_fusion_head
 from .layers import Linear
@@ -21,39 +22,29 @@ __all__ = ["DownstreamModel", "ProbeBank", "build_model"]
 
 
 class DownstreamModel(Module):
-    """Encoder + optional fusion head + affine frame classifier.
+    """Encoder + optional fusion head + affine frame classifier, shaped by
+    one :class:`ModelSpec`.
 
-    With ``fusion_spec=None`` the classifier reads one tap directly
-    (``probe_tap``, defaulting to the top layer); this is both the
+    Without a fusion head the classifier reads one tap directly
+    (``spec.probe_tap``, defaulting to the top layer); this is both the
     per-layer probing configuration and the shape full/top-block/bias-only
     fine-tuning runs in.
     """
 
-    def __init__(self, encoder: Encoder, fusion_spec, num_classes: int, seed: int,
-                 probe_tap: int | None = None, dtype=np.float32):
+    def __init__(self, encoder: Encoder, spec: ModelSpec, seed: int, dtype=np.float32):
         super().__init__()
-        cfg = encoder.config
-        if num_classes < 2:
-            raise ValueError(f"need at least 2 classes, got {num_classes}")
+        spec.validate()
+        if encoder.config != spec.encoder:
+            raise ValueError(f"encoder config {encoder.config} does not match spec {spec.encoder}")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.encoder = self.child("encoder", encoder)
-        self.fusion_spec = fusion_spec
-        if fusion_spec is None:
-            tap = cfg.num_layers - 1 if probe_tap is None else probe_tap
-            if not 0 <= tap < cfg.num_layers:
-                raise ValueError(f"probe tap {tap} out of range for {cfg.num_layers} layers")
-            self.tap_indices = (tap,)
-            self.head = None
-            width = cfg.model_dim
-        else:
-            if probe_tap is not None:
-                raise ValueError("probe_tap only applies when no fusion head is used")
-            fusion_spec.validate(cfg.num_layers)
-            self.tap_indices = tuple(fusion_spec.tap_indices)
-            self.head = self.child("head", build_fusion_head(fusion_spec, cfg.model_dim, rng, dtype))
-            width = fusion_spec.output_dim
-        self.classifier = self.child("classifier", Linear(width, num_classes, rng, dtype))
-        self.num_classes = num_classes
+        self.tap_indices = spec.tap_indices()
+        self.head = None
+        if spec.fusion is not None:
+            head = build_fusion_head(spec.fusion, spec.encoder.model_dim, rng, dtype)
+            self.head = self.child("head", head)
+        self.classifier = self.child(
+            "classifier", Linear(spec.head_dim(), spec.num_classes, rng, dtype))
 
     def logits(self, frames: Tensor) -> Tensor:
         taps = self.encoder.encode_with_taps(frames, self.tap_indices)
@@ -125,7 +116,8 @@ class ProbeBank(Module):
                              for i in self.tap_indices])
 
 
-def build_model(spec, seed: int, state: dict | None = None, dtype=np.float32) -> DownstreamModel:
+def build_model(spec: ModelSpec, seed: int, state: dict | None = None,
+                dtype=np.float32) -> DownstreamModel:
     """Canonical composition flow for one resource-accounting spec.
 
     Builds a fresh encoder, restores pretrained weights when ``state`` is
@@ -141,5 +133,4 @@ def build_model(spec, seed: int, state: dict | None = None, dtype=np.float32) ->
     if state is not None:
         load_state(encoder, state, prefix="encoder")
     configure_peft(encoder, spec.peft, seed=seed)
-    return DownstreamModel(encoder, spec.fusion, spec.num_classes, seed,
-                           probe_tap=spec.probe_tap, dtype=dtype)
+    return DownstreamModel(encoder, spec, seed, dtype)

@@ -114,9 +114,6 @@ class Module:
             p.size for p in self.parameters().values() if p.trainable or not trainable_only
         )
 
-    def children(self) -> dict[str, "Module"]:
-        return dict(self._children)
-
 
 # ---------------------------------------------------------------------------
 # Pattern matching over parameter names

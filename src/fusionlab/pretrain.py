@@ -168,9 +168,8 @@ def pretrain_masked_prediction(encoder: Encoder, dataset, cfg: PretrainConfig,
     Whether it returns or raises, the encoder is handed back unowned, so
     the caller can compose it into another model.
     """
-    cfg.validate()
-    set_trainable(encoder, "**", True)
     model = MaskedPretrainModel(encoder, cfg)
+    set_trainable(encoder, "**", True)
     train_cfg = TrainConfig(
         learning_rate=cfg.learning_rate,
         warmup_steps=cfg.warmup_steps,

@@ -6,6 +6,8 @@ deterministic, which the bitwise-reproducibility tests rely on.
 Tests that use the acceptance trend battery (tens of minutes on a desk
 CPU) run after every other test, so the rest of the suite reports in
 minutes and a slow battery never holds back a quick failure elsewhere.
+They carry the ``battery`` marker, so ``pytest -m "not battery"`` runs
+the quick suite alone.
 """
 
 import os
@@ -27,6 +29,9 @@ def acceptance_report():
 
 
 def pytest_collection_modifyitems(items):
+    for item in items:
+        if "trend_battery" in item.fixturenames:
+            item.add_marker(pytest.mark.battery)
     # A stable sort keeps file order within each group and keeps the
     # battery's tests adjacent, so its module-scoped fixture is built once.
     items.sort(key=lambda item: "trend_battery" in item.fixturenames)

@@ -27,7 +27,7 @@ from fusionlab.accounting import (
 )
 from fusionlab.encoder import DESK, FULL_SCALE, EncoderConfig, build_encoder
 from fusionlab.fusion import HierarchicalFusionSpec, LinearFusionSpec
-from fusionlab.model import build_model
+from fusionlab.model import DownstreamModel, build_model
 from fusionlab.peft import PeftSpec
 from fusionlab.tensor import OpCounter, Tensor, use_counter
 from fusionlab.params import backward
@@ -134,6 +134,23 @@ def test_trace_input_validation():
         ModelSpec(DESK, None, PeftSpec(), probe_tap=6).validate()
     with pytest.raises(ValueError):
         ModelSpec(DESK, None, PeftSpec(), num_classes=1).validate()
+
+
+@pytest.mark.parametrize("spec", [
+    ModelSpec(DESK, LinearFusionSpec((1, 3), 1, 64), PeftSpec(), probe_tap=2),
+    ModelSpec(DESK, None, PeftSpec(), probe_tap=6),
+    ModelSpec(DESK, None, PeftSpec(), num_classes=1),
+], ids=["probe-tap-with-fusion", "probe-tap-6-of-6", "one-class"])
+def test_build_model_rejects_invalid_specs(spec):
+    with pytest.raises(ValueError):
+        build_model(spec, seed=0)
+
+
+def test_downstream_model_rejects_encoder_of_another_config():
+    spec = ModelSpec(DESK, None, PeftSpec())
+    encoder = build_encoder(EncoderConfig(num_layers=3), seed=0)
+    with pytest.raises(ValueError, match="does not match"):
+        DownstreamModel(encoder, spec, seed=0)
 
 
 def test_resource_report_fields_and_guard():

@@ -26,9 +26,9 @@ def test_output_shape_and_subsampling():
 def test_all_taps_share_shape_and_order():
     enc = build_encoder(DESK, seed=0)
     taps = enc.encode_with_taps(frames(), tap_indices=(5, 0, 3))
-    assert taps.indices == (0, 3, 5)
+    assert tuple(taps) == (0, 3, 5)
     assert len(taps) == 3
-    assert all(t.shape == (2, 8, 64) for t in taps.features())
+    assert all(t.shape == (2, 8, 64) for t in taps.values())
     assert 3 in taps and 4 not in taps
     with pytest.raises(KeyError):
         taps[4]

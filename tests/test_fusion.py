@@ -77,6 +77,23 @@ def test_balanced_head_shapes_odd_and_even_tap_counts():
         assert head(taps).shape == (2, 8, 64)
 
 
+def test_balanced_head_concatenates_projections_in_tap_order():
+    def linear(x, layer):
+        w, b = layer.w.value.data, layer.b.value.data
+        return (x.reshape(-1, w.shape[0]) @ w).reshape(*x.shape[:-1], w.shape[1]) + b
+
+    for indices in [(1, 3), (1, 3, 5), (0, 1, 2, 4, 5)]:
+        taps = taps_fixture(indices)
+        spec = HierarchicalFusionSpec(tap_indices=indices, variant="balanced",
+                                      fp_dim=32, final_dim=64, final_depth=3)
+        head = build_fusion_head(spec, model_dim=64, rng=np.random.default_rng(0))
+        h = np.concatenate([linear(taps[t].data, head.fps[slot])
+                            for slot, t in enumerate(indices)], axis=-1)
+        for i, layer in enumerate(head.final_layers):
+            h = linear(np.maximum(h, 0) if i else h, layer)
+        np.testing.assert_array_equal(head(taps).data, h)
+
+
 def test_unbalanced_head_shapes():
     for indices in [(0, 2, 5), (0, 1, 3, 5), (0, 1, 2, 4, 5)]:
         taps = taps_fixture(indices)

@@ -4,6 +4,7 @@ learning gate, and checkpoint layout."""
 import numpy as np
 import pytest
 
+from fusionlab.accounting import ModelSpec
 from fusionlab.checkpoint import load_checkpoint
 from fusionlab.encoder import DESK, EncoderConfig, build_encoder
 from fusionlab.model import DownstreamModel, ProbeBank
@@ -122,6 +123,15 @@ def test_pretraining_trains_frozen_encoders_too(tmp_path):
     assert changed, "pretraining must unfreeze and train the encoder"
 
 
+def test_bad_config_leaves_encoder_flags_and_ownership_untouched():
+    enc = build_encoder(DESK, seed=0)
+    set_trainable(enc, "**", False)
+    with pytest.raises(ValueError):
+        pretrain_masked_prediction(enc, tiny_corpus(), PretrainConfig(mask_prob=0.0))
+    assert not any(p.trainable for p in enc.parameters().values())
+    ProbeBank(enc, (0,), num_classes=8, seed=0)  # still unowned, so composable
+
+
 @pytest.mark.parametrize("gate", ["passes", "fails"])
 def test_encoder_is_handed_back_reusable(gate, tmp_path):
     enc = build_encoder(DESK, seed=0)
@@ -142,7 +152,7 @@ def test_encoder_is_handed_back_reusable(gate, tmp_path):
     bank = ProbeBank(enc, range(DESK.num_layers), num_classes=8, seed=0)
     assert list(enc.parameters()) == names
     bank.release("encoder")
-    model = DownstreamModel(enc, None, num_classes=8, seed=0)
+    model = DownstreamModel(enc, ModelSpec(DESK, num_classes=8), seed=0)
     assert list(enc.parameters()) == names
     assert [n for n in model.parameters() if n.startswith("encoder/")] == [
         f"encoder/{n}" for n in names]
