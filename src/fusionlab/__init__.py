@@ -3,11 +3,12 @@ frozen conformer encoder.
 
 The package is built around a small reverse-mode autodiff engine whose
 every primitive is instrumented (op counts, FLOPs, bytes retained for
-backward), so measured training cost can be checked against closed-form
-accounting.  On top of it sit a conformer encoder with per-layer feature
-taps, multi-layer fusion heads, parameter-efficient tuning strategies, a
-synthetic sequence-labeling task with a masked-prediction pretraining
-surrogate, and a config-driven experiment CLI.
+backward), so measured training cost can be checked against an analytic
+walk of the same model.  On top of it sit a conformer encoder with
+per-layer feature taps, multi-layer fusion heads, parameter-efficient
+tuning strategies, a synthetic sequence-labeling task with a
+masked-prediction pretraining surrogate, and a config-driven experiment
+CLI.
 """
 
 from .accounting import (
@@ -15,7 +16,6 @@ from .accounting import (
     ResourceReport,
     comparison_model_specs,
     count_backward_flops,
-    count_forward_flops,
     count_model_params,
     count_trainable_params,
     estimate_activation_memory,
@@ -93,7 +93,6 @@ __all__ = [
     "config_fingerprint",
     "configure_peft",
     "count_backward_flops",
-    "count_forward_flops",
     "count_model_params",
     "count_trainable_params",
     "ema_update",

@@ -1,17 +1,20 @@
-"""Closed-form resource accounting: parameter counts, backward FLOPs,
-retained-activation memory, and wall-clock throughput.
+"""Analytic resource accounting: parameter counts, forward and backward
+FLOPs, retained-activation memory, and wall-clock throughput.
 
 Two independent routes measure the same quantities:
 
-* the live route: run a training step and read the :class:`OpCounter`;
-* the analytic route here: price a symbolic forward/backward pass using
-  the shared per-op cost formulas from :mod:`fusionlab.ops`, without
-  allocating any tensors.
+* the live route: build the model and run a training step, reading its
+  parameters and the :class:`OpCounter`;
+* the analytic route here: walk a symbolic mirror of the model that
+  creates each parameter as a shape and prices each op with the shared
+  per-op cost formulas from :mod:`fusionlab.ops`, without allocating any
+  tensors.  One walk (:func:`trace_costs`) gives every number a report
+  needs.
 
-The unit tests require the two to agree exactly on parameter counts,
-forward and backward FLOPs and retained bytes (the acceptance gate on
-backward FLOPs alone allows a 1% gap), so the symbolic trace below
-mirrors the live model code op for op, including which inputs need
+The unit tests require the two to agree exactly on parameter counts per
+region, forward and backward FLOPs and retained bytes (the acceptance
+gate on backward FLOPs alone allows a 1% gap), so the symbolic trace
+below mirrors the live model code op for op, including which inputs need
 gradients and which arrays each op retains for the backward pass.
 """
 
@@ -38,25 +41,10 @@ __all__ = [
     "ResourceReport",
     "ReferenceRow",
     "REFERENCE_ROWS",
-    "linear_params",
-    "layer_norm_params",
-    "conv1d_params",
-    "depthwise_conv1d_params",
-    "ffn_params",
-    "attention_params",
-    "conv_module_params",
-    "block_params",
-    "frontend_params",
-    "encoder_params",
-    "adapter_params",
-    "fusion_head_params",
-    "bitfit_param_count",
-    "peft_param_count",
     "count_trainable_params",
     "count_model_params",
     "count_model_trainable_params",
     "trace_costs",
-    "count_forward_flops",
     "count_backward_flops",
     "estimate_activation_memory",
     "resource_report",
@@ -65,141 +53,6 @@ __all__ = [
     "reference_table",
     "comparison_model_specs",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Closed-form parameter counts
-# ---------------------------------------------------------------------------
-
-
-def linear_params(d_in: int, d_out: int) -> int:
-    return d_in * d_out + d_out
-
-
-def layer_norm_params(dim: int) -> int:
-    return 2 * dim
-
-
-def conv1d_params(kernel: int, c_in: int, c_out: int) -> int:
-    return kernel * c_in * c_out + c_out
-
-
-def depthwise_conv1d_params(kernel: int, channels: int) -> int:
-    return kernel * channels + channels
-
-
-def ffn_params(dim: int, expansion: int) -> int:
-    return (
-        layer_norm_params(dim)
-        + linear_params(dim, expansion * dim)
-        + linear_params(expansion * dim, dim)
-    )
-
-
-def attention_params(dim: int) -> int:
-    return layer_norm_params(dim) + 4 * linear_params(dim, dim)
-
-
-def conv_module_params(dim: int, kernel: int) -> int:
-    return (
-        2 * layer_norm_params(dim)
-        + linear_params(dim, 2 * dim)
-        + depthwise_conv1d_params(kernel, dim)
-        + linear_params(dim, dim)
-    )
-
-
-def block_params(cfg: EncoderConfig) -> int:
-    d = cfg.model_dim
-    return (
-        2 * ffn_params(d, cfg.ffn_expansion)
-        + attention_params(d)
-        + conv_module_params(d, cfg.conv_kernel)
-        + layer_norm_params(d)
-    )
-
-
-def frontend_params(cfg: EncoderConfig) -> int:
-    d = cfg.model_dim
-    return conv1d_params(2, cfg.input_dim, d) + conv1d_params(2, d, d) + linear_params(d, d)
-
-
-def encoder_params(cfg: EncoderConfig) -> int:
-    return frontend_params(cfg) + cfg.num_layers * block_params(cfg)
-
-
-def adapter_params(dim: int, bottleneck: int) -> int:
-    return layer_norm_params(dim) + linear_params(dim, bottleneck) + linear_params(bottleneck, dim)
-
-
-def bitfit_param_count(cfg: EncoderConfig) -> int:
-    """Additive vectors no wider than the model dim, enumerated per block."""
-    d, e = cfg.model_dim, cfg.ffn_expansion
-    ffn = [d, e * d, d]           # norm offset, up bias, down bias
-    attn = [d, d, d, d, d]        # norm offset, q/k/v/out biases
-    conv = [d, 2 * d, d, d, d]    # norm offset, pointwise-in, depthwise, mid-norm offset, pointwise-out
-    per_block = ffn + attn + conv + list(ffn) + [d]
-    sizes = [d, d, d] + cfg.num_layers * per_block   # frontend conv1/conv2/proj biases first
-    return sum(s for s in sizes if s <= d)
-
-
-def fusion_head_params(spec, model_dim: int) -> int:
-    if isinstance(spec, LinearFusionSpec):
-        n = len(spec.tap_indices)
-        total = linear_params(n * model_dim, spec.width)
-        total += (spec.depth - 1) * linear_params(spec.width, spec.width)
-        return total
-    if isinstance(spec, HierarchicalFusionSpec):
-        n = len(spec.tap_indices)
-        if spec.variant == "balanced":
-            total = n * linear_params(model_dim, spec.fp_dim)
-            concat_dim = n * spec.fp_dim
-        else:
-            split = (n + 1) // 2
-
-            def chain(length: int) -> int:
-                return linear_params(model_dim, spec.fp_dim) + (length - 1) * linear_params(
-                    spec.fp_dim + model_dim, spec.fp_dim
-                )
-
-            total = chain(split) + chain(n - split)
-            concat_dim = 2 * spec.fp_dim
-        total += linear_params(concat_dim, spec.final_dim)
-        total += (spec.final_depth - 1) * linear_params(spec.final_dim, spec.final_dim)
-        return total
-    raise TypeError(f"not a fusion spec: {spec!r}")
-
-
-def peft_param_count(cfg: EncoderConfig, peft: PeftSpec) -> int:
-    """Trainable parameters the strategy adds or unfreezes inside the encoder."""
-    if peft.kind == "none":
-        return 0
-    if peft.kind == "full":
-        return encoder_params(cfg)
-    if peft.kind == "top_block":
-        return block_params(cfg)
-    if peft.kind == "bitfit":
-        return bitfit_param_count(cfg)
-    if peft.kind == "adapter":
-        return len(peft.adapter_layers) * adapter_params(cfg.model_dim, peft.bottleneck_dim)
-    raise ValueError(f"unknown peft kind {peft.kind!r}")
-
-
-def count_trainable_params(encoder_config: EncoderConfig, fusion=None,
-                           peft: PeftSpec | None = None) -> tuple[int, int]:
-    """(encoder-side, head-side) trainable counts, classifier excluded.
-
-    Closed-form and never instantiates a model; must (and, per the tests,
-    does) equal the live counts exactly.
-    """
-    encoder_config.validate()
-    peft = peft or PeftSpec()
-    peft.validate(encoder_config.num_layers, encoder_config.model_dim)
-    if fusion is not None:
-        fusion.validate(encoder_config.num_layers)
-    enc = peft_param_count(encoder_config, peft)
-    head = 0 if fusion is None else fusion_head_params(fusion, encoder_config.model_dim)
-    return enc, head
 
 
 # ---------------------------------------------------------------------------
@@ -245,25 +98,6 @@ class ModelSpec:
         return self.encoder.model_dim if self.fusion is None else self.fusion.output_dim
 
 
-def count_model_params(spec: ModelSpec) -> int:
-    """Total parameters of the instantiated model, trainable or not."""
-    spec.validate()
-    cfg = spec.encoder
-    total = encoder_params(cfg)
-    if spec.peft.kind == "adapter":
-        total += len(spec.peft.adapter_layers) * adapter_params(cfg.model_dim, spec.peft.bottleneck_dim)
-    if spec.fusion is not None:
-        total += fusion_head_params(spec.fusion, cfg.model_dim)
-    total += linear_params(spec.head_dim(), spec.num_classes)
-    return total
-
-
-def count_model_trainable_params(spec: ModelSpec) -> int:
-    """Trainable parameters of the whole model, classifier included."""
-    enc, head = count_trainable_params(spec.encoder, spec.fusion, spec.peft)
-    return enc + head + linear_params(spec.head_dim(), spec.num_classes)
-
-
 # ---------------------------------------------------------------------------
 # Symbolic cost trace
 #
@@ -306,20 +140,37 @@ _FROZEN = _Flags()
 _BITFIT = _Flags(bitfit=True)
 
 
+_REGIONS = ("encoder", "head", "classifier")
+
+
 class _Trace:
-    """Accumulates FLOPs and retained-for-backward elements."""
+    """Accumulates FLOPs and retained-for-backward elements, and tallies
+    the parameters it creates by region (all, and trainable only).
 
-    __slots__ = ("forward_flops", "backward_flops", "saved_elems")
+    A scratch trace built with ``tally=tr`` adds its parameters to
+    ``tr``'s tallies but keeps its own FLOPs and bytes, which the caller
+    drops: that is how blocks above the top tap are counted but not priced.
+    """
 
-    def __init__(self):
+    __slots__ = ("forward_flops", "backward_flops", "saved_elems", "region",
+                 "params", "trainable")
+
+    def __init__(self, tally: _Trace | None = None):
         self.forward_flops = 0
         self.backward_flops = 0
         self.saved_elems = 0
+        self.region = "encoder"
+        self.params = tally.params if tally else dict.fromkeys(_REGIONS, 0)
+        self.trainable = tally.trainable if tally else dict.fromkeys(_REGIONS, 0)
 
     # -- leaves -------------------------------------------------------------
 
     def param(self, shape, trainable: bool) -> _Sym:
-        return _Sym(shape, trainable, is_param=True)
+        p = _Sym(shape, trainable, is_param=True)
+        self.params[self.region] += p.size
+        if trainable:
+            self.trainable[self.region] += p.size
+        return p
 
     def const(self, shape) -> _Sym:
         return _Sym(shape, False)
@@ -563,13 +414,28 @@ def _hier_head(tr: _Trace, feats: list[_Sym], spec: HierarchicalFusionSpec, mode
 
 
 class CostTotals(NamedTuple):
+    """What one walk of the mirror gives: the FLOPs and retained bytes of
+    one training step, and the model's parameters by region (``encoder``
+    with its adapters, ``head``, ``classifier``), all and trainable only."""
+
     forward_flops: int
     backward_flops: int
     retained_bytes: int
+    params: dict[str, int]
+    trainable: dict[str, int]
+
+    @property
+    def total_params(self) -> int:
+        return sum(self.params.values())
+
+    @property
+    def trainable_params(self) -> int:
+        return sum(self.trainable.values())
 
 
 def trace_costs(spec: ModelSpec, batch: int, seq_len: int, itemsize: int = 4) -> CostTotals:
-    """Price one forward + backward of the model on a (batch, seq_len) crop."""
+    """Price one forward + backward of the model on a (batch, seq_len) crop,
+    and count its parameters."""
     spec.validate()
     if batch < 1:
         raise ValueError(f"batch must be positive, got {batch}")
@@ -592,17 +458,20 @@ def trace_costs(spec: ModelSpec, batch: int, seq_len: int, itemsize: int = 4) ->
     frontend_flags = _TRAINED if kind == "full" else (_BITFIT if kind == "bitfit" else _FROZEN)
 
     tr = _Trace()
+    above_top_tap = _Trace(tally=tr)   # the forward stops at the top tap
     taps = spec.tap_indices()
-    wanted = set(taps)
+    top, wanted = max(taps), set(taps)
     feats: dict[int, _Sym] = {}
     h = _frontend(tr, batch, seq_len, cfg, frontend_flags)
-    for i in range(max(taps) + 1):
-        h = _block(tr, h, flags_for(i), cfg)
+    for i in range(cfg.num_layers):
+        walk = tr if i <= top else above_top_tap
+        h = _block(walk, h, flags_for(i), cfg)
         if i in adapters:
-            h = _adapter(tr, h, cfg.model_dim, spec.peft.bottleneck_dim)
+            h = _adapter(walk, h, cfg.model_dim, spec.peft.bottleneck_dim)
         if i in wanted:
             feats[i] = h
 
+    tr.region = "head"
     if spec.fusion is None:
         hd = feats[taps[0]]
     elif isinstance(spec.fusion, LinearFusionSpec):
@@ -610,20 +479,48 @@ def trace_costs(spec: ModelSpec, batch: int, seq_len: int, itemsize: int = 4) ->
     else:
         hd = _hier_head(tr, [feats[i] for i in taps], spec.fusion, cfg.model_dim)
 
+    tr.region = "classifier"
     logits = _lin(tr, hd, spec.num_classes, _TRAINED, cfg.model_dim)
     b, t, k = logits.shape
     flat = tr.movement((b * t, k), logits)
     tr.cross_entropy(flat)
-    return CostTotals(tr.forward_flops, tr.backward_flops, tr.saved_elems * itemsize)
+    return CostTotals(tr.forward_flops, tr.backward_flops, tr.saved_elems * itemsize,
+                      tr.params, tr.trainable)
 
 
-def count_forward_flops(spec: ModelSpec, batch: int, seq_len: int) -> int:
-    return trace_costs(spec, batch, seq_len).forward_flops
+def _count(spec: ModelSpec) -> CostTotals:
+    """Parameter counts do not depend on the crop; walk the shortest one."""
+    return trace_costs(spec, 1, SUBSAMPLING)
+
+
+def count_model_params(spec: ModelSpec) -> int:
+    """Total parameters of the instantiated model, trainable or not."""
+    return _count(spec).total_params
+
+
+def count_model_trainable_params(spec: ModelSpec) -> int:
+    """Trainable parameters of the whole model, classifier included."""
+    return _count(spec).trainable_params
+
+
+def count_trainable_params(encoder_config: EncoderConfig, fusion=None,
+                           peft: PeftSpec | None = None) -> tuple[int, int]:
+    """(encoder-side, head-side) trainable counts, classifier excluded.
+
+    Never instantiates a model; must (and, per the tests, does) equal the
+    live counts exactly.
+    """
+    trainable = _count(ModelSpec(encoder_config, fusion, peft or PeftSpec())).trainable
+    return trainable["encoder"], trainable["head"]
 
 
 def count_backward_flops(spec: ModelSpec, batch: int, seq_len: int) -> int:
     """Analytic backward FLOPs; pruned below the lowest trainable depth."""
     return trace_costs(spec, batch, seq_len).backward_flops
+
+
+def _held_bytes(totals: CostTotals, itemsize: int) -> int:
+    return totals.retained_bytes + totals.trainable_params * itemsize * 4
 
 
 def estimate_activation_memory(spec: ModelSpec, batch: int, seq_len: int,
@@ -635,9 +532,7 @@ def estimate_activation_memory(spec: ModelSpec, batch: int, seq_len: int,
     """
     if batch == 0:
         return 0
-    retained = trace_costs(spec, batch, seq_len, itemsize).retained_bytes
-    trainable = count_model_trainable_params(spec)
-    return retained + trainable * itemsize * 4
+    return _held_bytes(trace_costs(spec, batch, seq_len, itemsize), itemsize)
 
 
 # ---------------------------------------------------------------------------
@@ -675,11 +570,10 @@ def _fingerprint(spec: ModelSpec, batch: int, seq_len: int) -> str:
 def resource_report(spec: ModelSpec, batch: int, seq_len: int,
                     throughput: float | None = None) -> ResourceReport:
     totals = trace_costs(spec, batch, seq_len)
-    trainable = count_model_trainable_params(spec)
     report = ResourceReport(
-        trainable_params=trainable,
-        frozen_params=count_model_params(spec) - trainable,
-        activation_bytes=estimate_activation_memory(spec, batch, seq_len),
+        trainable_params=totals.trainable_params,
+        frozen_params=totals.total_params - totals.trainable_params,
+        activation_bytes=_held_bytes(totals, 4),
         forward_flops=totals.forward_flops // batch,
         backward_flops=totals.backward_flops // batch,
         throughput=throughput,
@@ -784,7 +678,7 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 
 
 def reference_table(cfg: EncoderConfig = FULL_SCALE) -> list[dict]:
-    """Closed-form counts next to published values, with deviations."""
+    """Analytic counts next to published values, with deviations."""
     rows = []
     for row in REFERENCE_ROWS:
         enc, head = count_trainable_params(cfg, row.fusion, row.peft)

@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="fusionlab",
         description="Transfer-learning experiments on a frozen conformer encoder: "
                     "pretraining, per-layer probes, fusion heads, tuning-strategy "
-                    "comparisons, closed-form parameter counting, and config sweeps.",
+                    "comparisons, analytic parameter counting, and config sweeps.",
     )
     parser.add_argument("--config", metavar="PATH",
                         help="INI experiment config (defaults apply when omitted)")
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("comparison",
                    help="run the eight tuning strategies head to head")
     sub.add_parser("count-params",
-                   help="closed-form parameter counts vs published references (no training)")
+                   help="analytic parameter counts vs published references (no training)")
     sweep = sub.add_parser("sweep", help="Cartesian product of config overrides")
     sweep.add_argument("--set", dest="grid", action="append", default=[],
                        metavar="SECTION.KEY=V1,V2,...",

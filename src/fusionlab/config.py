@@ -10,8 +10,8 @@ explicit), which is what run directories freeze for provenance;
 ``config_fingerprint`` hashes that text.
 
 Two presets pick the default geometry: ``desk`` (trainable on a CPU) and
-``full-counting`` (the large geometry used for closed-form parameter
-arithmetic only; training subcommands refuse it).
+``full-counting`` (the large geometry used for analytic parameter
+counting only; training subcommands refuse it).
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ Layout under the experiment's ``output_dir``::
     fusion-table/<variant>/   one run per fusion head variant, plus table.csv
     comparison/<strategy>/    one run per strategy, plus table.csv and
                               full_scale_reference.csv
-    count-params/             closed-form reference table (pure arithmetic)
+    count-params/             analytic reference table (no tensors)
     sweep/<run>/              one run per grid point, plus summary.csv
 """
 
@@ -73,7 +73,7 @@ class MissingArtifactError(RuntimeError):
 def _require_trainable(cfg: ExperimentConfig) -> None:
     if cfg.counting_only():
         raise ConfigError(
-            "preset 'full-counting' is for closed-form parameter arithmetic only; "
+            "preset 'full-counting' is for analytic parameter counting only; "
             "run count-params, or switch the preset to 'desk' to train"
         )
 
@@ -111,7 +111,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_reference_csv(path: Path, rows: list[dict]) -> None:
-    """The closed-form counts against the published full-scale figures."""
+    """The analytic counts against the published full-scale figures."""
     _write_csv(
         path,
         ["label", "computed", "reference", "deviation_pct", "tolerance_pct", "within"],
@@ -320,7 +320,7 @@ def cmd_fusion_table(cfg: ExperimentConfig, variants=None) -> list[dict]:
 
 def cmd_comparison(cfg: ExperimentConfig) -> list[dict]:
     """Head-to-head run of the eight tuning strategies with measured cost
-    columns, plus the closed-form full-scale reference counts."""
+    columns, plus the analytic full-scale reference counts."""
     _require_trainable(cfg)
     bottleneck = (cfg.peft.bottleneck_dim if cfg.peft.kind == "adapter"
                   else max(cfg.encoder.model_dim // 4, 1))
@@ -375,11 +375,11 @@ def cmd_comparison(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-# -- closed-form counting ------------------------------------------------------
+# -- analytic counting ---------------------------------------------------------
 
 
 def cmd_count_params(cfg: ExperimentConfig) -> list[dict]:
-    """Pure parameter arithmetic against the published reference counts;
+    """Analytic parameter counts against the published reference counts;
     allocates no tensors and runs in well under a second."""
     target = cfg.encoder if cfg.counting_only() else FULL_SCALE
     rows = reference_table(target)

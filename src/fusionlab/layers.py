@@ -41,7 +41,6 @@ class Linear(Module):
             w = _glorot(rng, d_in, d_out, (d_in, d_out), dtype)
         self.w = self.param("weight", w)
         self.b = self.param("bias", np.zeros(d_out, dtype=dtype))
-        self.d_in, self.d_out = d_in, d_out
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.bias_add(ops.matmul(x, self.w.value), self.b.value)

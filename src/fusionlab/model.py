@@ -91,7 +91,6 @@ class ProbeBank(Module):
             i: self.child(f"probe_{i}", Linear(cfg.model_dim, num_classes, rng, dtype))
             for i in taps
         }
-        self.num_classes = num_classes
 
     def loss(self, frames: Tensor, labels: np.ndarray) -> Tensor:
         taps = self.encoder.encode_with_taps(frames, self.tap_indices)

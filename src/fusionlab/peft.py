@@ -30,7 +30,6 @@ __all__ = [
     "Adapter",
     "configure_peft",
     "lowest_trainable_depth",
-    "bitfit_inventory",
     "PEFT_KINDS",
 ]
 
@@ -126,12 +125,3 @@ def lowest_trainable_depth(encoder_or_model: Module) -> int | None:
             depth = 0
     return depth
 
-
-def bitfit_inventory(encoder: Encoder) -> list[tuple[str, int]]:
-    """The additive parameters the bias-only strategy trains, for reports."""
-    rx = re.compile(r"(?:^|/)bias\Z")
-    return [
-        (name, p.size)
-        for name, p in encoder.parameters().items()
-        if rx.search(name) and p.size <= encoder.config.model_dim
-    ]

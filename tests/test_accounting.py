@@ -1,9 +1,12 @@
-"""Resource accounting: closed-form parameter counts against live models,
-symbolic cost traces against live op counters, monotonicity of the memory
-model, and the pinned full-scale reference arithmetic.
+"""Resource accounting: the symbolic trace's parameter counts (per region)
+against live models, its FLOPs and retained bytes against live op
+counters, monotonicity of the memory model, and the pinned full-scale
+reference arithmetic.
 
-The analytic and live routes are written independently (closed forms here,
-recorded ops there); the suite demands exact agreement.
+The analytic and live routes are written independently (a symbolic mirror
+of the modules in the accounting, real modules and recorded ops in the
+engine); the suite demands exact agreement, and hand-derived totals pin
+the full-scale counts.
 """
 
 import numpy as np
@@ -12,13 +15,11 @@ import pytest
 from fusionlab import ops
 from fusionlab.accounting import (
     ModelSpec,
-    bitfit_param_count,
     comparison_model_specs,
     count_backward_flops,
     count_model_params,
     count_model_trainable_params,
     count_trainable_params,
-    encoder_params,
     estimate_activation_memory,
     measure_throughput,
     reference_table,
@@ -61,6 +62,7 @@ def spec_grid():
         "bitfit": ModelSpec(DESK, None, PeftSpec("bitfit")),
         "full": ModelSpec(DESK, None, PeftSpec("full")),
         "top-block": ModelSpec(DESK, None, PeftSpec("top_block")),
+        "probe+adapters-above-tap": ModelSpec(DESK, None, PeftSpec("adapter", (3, 4, 5), 16), probe_tap=2),
     }
 
 
@@ -70,6 +72,14 @@ def test_closed_form_params_match_live_model_exactly(name):
     model = build_model(spec, seed=0)
     assert count_model_params(spec) == model.num_params()
     assert count_model_trainable_params(spec) == model.num_params(trainable_only=True)
+    regions = {"encoder": model.encoder, "head": model.head, "classifier": model.classifier}
+    totals = trace_costs(spec, BATCH, SEQ)
+    for trainable_only, counted in ((False, totals.params), (True, totals.trainable)):
+        assert counted == {r: 0 if m is None else m.num_params(trainable_only=trainable_only)
+                           for r, m in regions.items()}
+    head = 0 if model.head is None else model.head.num_params(trainable_only=True)
+    assert count_trainable_params(spec.encoder, spec.fusion, spec.peft) == (
+        model.encoder.num_params(trainable_only=True), head)
 
 
 @pytest.mark.parametrize("name", sorted(spec_grid()))
@@ -179,8 +189,10 @@ def test_measure_throughput_validation():
 
 
 def test_full_scale_encoder_param_count():
-    assert encoder_params(FULL_SCALE) == 583_748_608  # frontend 3,410,944 + 24 x 24,180,736
-    assert encoder_params(DESK) == 594_368
+    full = PeftSpec("full")
+    # frontend 3,410,944 + 24 x 24,180,736
+    assert count_trainable_params(FULL_SCALE, None, full)[0] == 583_748_608
+    assert count_trainable_params(DESK, None, full)[0] == 594_368
 
 
 def test_full_scale_reference_rows_pinned():
@@ -208,7 +220,8 @@ def test_full_scale_reference_rows_pinned():
 
 
 def test_full_scale_bitfit_closed_form():
-    assert bitfit_param_count(FULL_SCALE) == (14 * 24 + 3) * 1024
+    bitfit = count_trainable_params(FULL_SCALE, None, PeftSpec("bitfit"))[0]
+    assert bitfit == (14 * 24 + 3) * 1024
 
 
 def test_comparison_specs_cover_eight_strategies():
