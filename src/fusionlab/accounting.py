@@ -11,6 +11,9 @@ Two independent routes measure the same quantities:
   tensors.  One walk (:func:`trace_costs`) gives every number a report
   needs.
 
+A :class:`ResourceReport` prices a :class:`ModelSpec` alone; which config
+it belongs to is recorded next to it by the run that wrote it.
+
 The unit tests require the two to agree exactly on parameter counts per
 region, forward and backward FLOPs and retained bytes (the acceptance
 gate on backward FLOPs alone allows a 1% gap), so the symbolic trace
@@ -20,7 +23,6 @@ gradients and which arrays each op retains for the backward pass.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import platform
 import statistics
@@ -542,7 +544,8 @@ def estimate_activation_memory(spec: ModelSpec, batch: int, seq_len: int,
 
 @dataclass(frozen=True)
 class ResourceReport:
-    """One comparison row: what a configuration costs to train."""
+    """One comparison row: what a model spec costs to train at one batch
+    and crop."""
 
     trainable_params: int
     frozen_params: int
@@ -550,7 +553,6 @@ class ResourceReport:
     forward_flops: int          # per example
     backward_flops: int         # per example
     throughput: float | None
-    config_fingerprint: str
 
     def validate(self) -> None:
         if self.trainable_params < 0 or self.frozen_params < 0:
@@ -560,11 +562,6 @@ class ResourceReport:
                 f"backward flops ({self.backward_flops}) exceed twice the forward "
                 f"flops ({self.forward_flops}); every op costs at most 2x forward"
             )
-
-
-def _fingerprint(spec: ModelSpec, batch: int, seq_len: int) -> str:
-    text = f"{spec!r}|batch={batch}|seq_len={seq_len}"
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def resource_report(spec: ModelSpec, batch: int, seq_len: int,
@@ -577,7 +574,6 @@ def resource_report(spec: ModelSpec, batch: int, seq_len: int,
         forward_flops=totals.forward_flops // batch,
         backward_flops=totals.backward_flops // batch,
         throughput=throughput,
-        config_fingerprint=_fingerprint(spec, batch, seq_len),
     )
     report.validate()
     return report

@@ -7,7 +7,8 @@ fall back to a default.  The keys of ``[encoder]``, ``[train]``,
 (minus ``seed``, which ``[experiment]`` sets for all of them).
 ``render_config`` emits the fully resolved configuration (every key
 explicit), which is what run directories freeze for provenance;
-``config_fingerprint`` hashes that text.
+``config_fingerprint`` hashes that text, and each run's resource report
+records it.
 
 Two presets pick the default geometry: ``desk`` (trainable on a CPU) and
 ``full-counting`` (the large geometry used for analytic parameter
@@ -23,6 +24,7 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
+from .accounting import ModelSpec
 from .encoder import DESK, FULL_SCALE, EncoderConfig
 from .fusion import HierarchicalFusionSpec, LinearFusionSpec, evenly_spaced_taps
 from .peft import PeftSpec
@@ -126,10 +128,7 @@ class ExperimentConfig:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; expected one of {PRESETS}")
         try:
-            self.encoder.validate()
-            self.peft.validate(self.encoder.num_layers, self.encoder.model_dim)
-            if self.fusion is not None:
-                self.fusion.validate(self.encoder.num_layers)
+            self.model_spec().validate()
             self.train.validate()
             self.pretrain.validate()
             self.synth.validate()
@@ -142,6 +141,10 @@ class ExperimentConfig:
             )
         if self.train.seed != self.seed or self.pretrain.seed != self.seed:
             raise ConfigError("train/pretrain seeds must mirror the experiment seed")
+
+    def model_spec(self) -> ModelSpec:
+        """The downstream model this config trains."""
+        return ModelSpec(self.encoder, self.fusion, self.peft, self.synth.vocab)
 
     def counting_only(self) -> bool:
         return self.preset == "full-counting"

@@ -1,11 +1,12 @@
 """Experiment driver: pretraining, the four study families, and sweeps.
 
-Every command materializes its data from (config, seed), writes a frozen
-copy of the resolved configuration into its run directory together with
-metrics, a resource report, and the seed, prints a summary table, and
-returns the rows for programmatic callers.  Existing run directories are
-never overwritten, and every artifact file is written atomically, so an
-interrupted write leaves no partial file.
+Every command materializes its data from (config, seed), writes the
+resolved config of what it trained (``resolved.ini``) into its run
+directory together with metrics, the seed, and a resource report whose
+``config_fingerprint`` is the SHA-256 of that file, prints a summary
+table, and returns the rows for programmatic callers.  Existing run
+directories are never overwritten, and every artifact file is written
+atomically, so an interrupted write leaves no partial file.
 
 Layout under the experiment's ``output_dir``::
 
@@ -34,14 +35,20 @@ import numpy as np
 from .accounting import (
     ModelSpec,
     comparison_model_specs,
-    count_trainable_params,
     measure_throughput,
     reference_table,
     resource_report,
     throughput_environment,
 )
 from .checkpoint import load_checkpoint, write_atomically
-from .config import SCHEMA, ConfigError, ExperimentConfig, build_config, config_sections, render_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    build_config,
+    config_fingerprint,
+    config_sections,
+    render_config,
+)
 from .encoder import FULL_SCALE, build_encoder
 from .fusion import HierarchicalFusionSpec, LinearFusionSpec, evenly_spaced_taps, layer_weight_norms
 from .model import ProbeBank, build_model
@@ -135,11 +142,15 @@ def _write_provenance(run_dir: Path, cfg: ExperimentConfig) -> None:
     write_atomically(run_dir / "seed.txt", f"{cfg.seed}\n".encode())
 
 
-def _write_resource_report(run_dir: Path, spec: ModelSpec, batch: int, seq_len: int,
-                           throughput: float | None = None):
+def _write_resource_report(run_dir: Path, cfg: ExperimentConfig, spec: ModelSpec,
+                           throughput: float | None):
+    """Price ``spec`` at ``cfg``'s batch and crop, fingerprinted by the
+    ``resolved.ini`` that ``_write_provenance(run_dir, cfg)`` writes."""
+    batch, seq_len = cfg.train.batch_size, cfg.train.crop_len
     report = resource_report(spec, batch, seq_len, throughput=throughput)
     payload = dataclasses.asdict(report)
-    payload.update(batch=batch, seq_len=seq_len, environment=throughput_environment())
+    payload.update(config_fingerprint=config_fingerprint(cfg), batch=batch, seq_len=seq_len,
+                   environment=throughput_environment())
     write_atomically(run_dir / "resource_report.json",
                      (json.dumps(payload, indent=2) + "\n").encode())
     return report
@@ -160,6 +171,29 @@ def _print_table(headers, rows) -> None:
     print("-" * len(head))
     for row in cells:
         print("  ".join(row[i].ljust(widths[i]) for i in range(len(headers))))
+
+
+def _run_training(cfg: ExperimentConfig, run_dir: Path, state: dict[str, np.ndarray] | None,
+                  train_set, test_set, timed: bool = False):
+    """Train and evaluate the model ``cfg`` describes, and write the run's
+    ``resolved.ini``, ``metrics.csv`` and ``resource_report.json``.
+
+    With ``timed`` the report's throughput is measured on the run's own
+    trainer before training (those steps train the model too); otherwise
+    it is the rate of the last logging window.  Returns
+    ``(model, history, fer, report)``.
+    """
+    spec = cfg.model_spec()
+    model = build_model(spec, cfg.seed, state)
+    trainer = Trainer(model, train_set, cfg.train, use_ema=True)
+    throughput = measure_throughput(trainer) if timed else None
+    history = train_downstream(model, train_set, cfg.train, trainer=trainer)
+    fer = evaluate_fer(model, test_set)
+    _write_provenance(run_dir, cfg)
+    _write_metrics(run_dir / "metrics.csv", history)
+    report = _write_resource_report(run_dir, cfg, spec,
+                                    throughput if timed else history[-1].throughput)
+    return model, history, fer, report
 
 
 # -- the pretraining stage ---------------------------------------------------
@@ -217,6 +251,8 @@ def cmd_probe_layers(cfg: ExperimentConfig, taps=None) -> list[dict]:
         raise ConfigError(f"tap indices {taps} out of range for {num_layers} layers")
     state = _load_pretrained_state(cfg)
     run_dir = _fresh_dir(cfg.output_dir / "probe-layers")
+    # The probes read a bare frozen encoder, whatever [fusion] and [peft] say.
+    run_cfg = dataclasses.replace(cfg, fusion=None, peft=PeftSpec())
 
     encoder = build_encoder(cfg.encoder, cfg.seed)
     load_state(encoder, state, prefix="encoder")
@@ -228,16 +264,15 @@ def cmd_probe_layers(cfg: ExperimentConfig, taps=None) -> list[dict]:
     fers = evaluate_fer_per_tap(bank, test_set)
 
     rows = [{"layer": tap, "fer": fers[tap]} for tap in taps]
-    _write_provenance(run_dir, cfg)
+    _write_provenance(run_dir, run_cfg)
     _write_metrics(run_dir / "metrics.csv", history)
     table = [(tap, f"{fers[tap]:.4f}") for tap in taps]
     _write_csv(run_dir / "layer_fer.csv", ["layer", "fer"], table)
     _write_csv(run_dir / "plot_probe_curve.csv", ["layer", "fer"], table)
     # The costing spec covers a single probe; report the deepest one,
     # which dominates the shared forward.
-    deepest = ModelSpec(cfg.encoder, None, PeftSpec(), cfg.synth.vocab, probe_tap=taps[-1])
-    _write_resource_report(run_dir, deepest, cfg.train.batch_size, cfg.train.crop_len,
-                           throughput=history[-1].throughput if history else None)
+    deepest = dataclasses.replace(run_cfg.model_spec(), probe_tap=taps[-1])
+    _write_resource_report(run_dir, run_cfg, deepest, history[-1].throughput)
     _write_result(run_dir, {"layer_fer": {str(t): fers[t] for t in taps}})
     _print_table(["layer", "test fer"], [[t, f"{fers[t]:.4f}"] for t in taps])
     return rows
@@ -267,21 +302,13 @@ def default_fusion_variants(encoder_cfg) -> dict[str, object]:
     return out
 
 
-def _describe_fusion(spec) -> str:
-    if isinstance(spec, LinearFusionSpec):
-        return f"linear {len(spec.tap_indices)} taps depth {spec.depth}"
-    return f"hierarchical {spec.variant} {len(spec.tap_indices)} taps"
-
-
 def cmd_fusion_table(cfg: ExperimentConfig, variants=None) -> list[dict]:
-    """Train each fusion head variant over the frozen pretrained encoder;
-    emits (variant, head params, error) rows plus per-layer weight norms
-    for the linear variants."""
+    """Train each fusion head variant (``variants`` maps labels to fusion
+    specs) over the frozen pretrained encoder; emits (variant, head params,
+    error) rows plus per-layer weight norms for the linear variants."""
     _require_trainable(cfg)
     if variants is None:
         variants = default_fusion_variants(cfg.encoder)
-    elif not isinstance(variants, dict):
-        variants = {_describe_fusion(spec): spec for spec in variants}
     state = _load_pretrained_state(cfg)
     base_dir = _fresh_dir(cfg.output_dir / "fusion-table")
     train_set = generate_corpus(cfg.synth, cfg.seed, "train")
@@ -291,20 +318,13 @@ def cmd_fusion_table(cfg: ExperimentConfig, variants=None) -> list[dict]:
     norm_rows: list[tuple] = []
     for label, fspec in variants.items():
         run_dir = _fresh_dir(base_dir / _slug(label))
-        spec = ModelSpec(cfg.encoder, fspec, PeftSpec(), cfg.synth.vocab)
-        model = build_model(spec, cfg.seed, state)
-        history = train_downstream(model, train_set, cfg.train)
-        fer = evaluate_fer(model, test_set)
-        head_params = model.head.num_params()
-        rows.append({"variant": label, "head_params": head_params, "fer": fer})
+        run_cfg = dataclasses.replace(cfg, fusion=fspec, peft=PeftSpec())
+        model, _, fer, _ = _run_training(run_cfg, run_dir, state, train_set, test_set)
+        rows.append({"variant": label, "head_params": model.head.num_params(), "fer": fer})
         if isinstance(fspec, LinearFusionSpec):
             for tap, norm in layer_weight_norms(model.head):
                 norm_rows.append((label, tap, f"{norm:.6f}"))
-        _write_provenance(run_dir, dataclasses.replace(cfg, fusion=fspec))
-        _write_metrics(run_dir / "metrics.csv", history)
-        _write_resource_report(run_dir, spec, cfg.train.batch_size, cfg.train.crop_len,
-                               throughput=history[-1].throughput if history else None)
-        _write_result(run_dir, {"variant": label, "head_params": head_params, "fer": fer})
+        _write_result(run_dir, rows[-1])
 
     _write_csv(base_dir / "table.csv", ["variant", "head_params", "fer"],
                [(r["variant"], r["head_params"], f"{r['fer']:.4f}") for r in rows])
@@ -333,29 +353,21 @@ def cmd_comparison(cfg: ExperimentConfig) -> list[dict]:
     rows: list[dict] = []
     for label, spec in specs.items():
         run_dir = _fresh_dir(base_dir / _slug(label))
-        model = build_model(spec, cfg.seed, state)
         # Full fine-tuning moves every weight; it needs a gentler step.
         lr_factor = 0.1 if spec.peft.kind == "full" else 1.0
         row_train = dataclasses.replace(
             cfg.train, learning_rate=cfg.train.learning_rate * lr_factor)
-        trainer = Trainer(model, train_set, row_train, use_ema=True)
-        throughput = measure_throughput(trainer)
-        history = train_downstream(model, train_set, row_train, trainer=trainer)
-        fer = evaluate_fer(model, test_set)
-        enc_params, head_params = count_trainable_params(spec.encoder, spec.fusion, spec.peft)
-        report = _write_resource_report(run_dir, spec, row_train.batch_size,
-                                        row_train.crop_len, throughput=throughput)
+        run_cfg = dataclasses.replace(cfg, fusion=spec.fusion, peft=spec.peft, train=row_train)
+        model, _, fer, report = _run_training(run_cfg, run_dir, state, train_set, test_set,
+                                              timed=True)
         rows.append({
             "strategy": label,
-            "encoder_params": enc_params,
-            "head_params": head_params,
+            "encoder_params": model.encoder.num_params(trainable_only=True),
+            "head_params": 0 if model.head is None else model.head.num_params(trainable_only=True),
             "activation_bytes": report.activation_bytes,
-            "examples_per_sec": throughput,
+            "examples_per_sec": report.throughput,
             "fer": fer,
         })
-        _write_provenance(run_dir, dataclasses.replace(
-            cfg, fusion=spec.fusion, peft=spec.peft, train=row_train))
-        _write_metrics(run_dir / "metrics.csv", history)
         _write_result(run_dir, rows[-1])
 
     _write_csv(
@@ -399,29 +411,11 @@ def cmd_count_params(cfg: ExperimentConfig) -> list[dict]:
 # -- sweeps --------------------------------------------------------------------
 
 
-def _run_training(cfg: ExperimentConfig, run_dir: Path,
-                  state: dict[str, np.ndarray] | None) -> dict:
-    """One self-contained training run of the configured model."""
-    spec = ModelSpec(cfg.encoder, cfg.fusion, cfg.peft, cfg.synth.vocab)
-    model = build_model(spec, cfg.seed, state)
-    train_set = generate_corpus(cfg.synth, cfg.seed, "train")
-    test_set = generate_corpus(cfg.synth, cfg.seed, "test")
-    history = train_downstream(model, train_set, cfg.train)
-    fer = evaluate_fer(model, test_set)
-    _write_provenance(run_dir, cfg)
-    _write_metrics(run_dir / "metrics.csv", history)
-    _write_resource_report(run_dir, spec, cfg.train.batch_size, cfg.train.crop_len,
-                           throughput=history[-1].throughput if history else None)
-    result = {"final_loss": history[-1].loss if history else float("nan"), "fer": fer}
-    _write_result(run_dir, result)
-    return result
-
-
 def cmd_sweep(cfg: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     """Cartesian-product runs over config overrides.
 
-    Grid keys are ``section.key`` paths from the config schema and are
-    validated, and every run config is built, before anything executes.
+    Every run config is built before anything executes, which validates
+    the grid's keys and values.
     The pretrained checkpoint is reused for runs whose encoder geometry
     matches the base config; otherwise the run starts from random
     initialization.
@@ -429,11 +423,6 @@ def cmd_sweep(cfg: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     _require_trainable(cfg)
     grid = {key: list(values) for key, values in grid.items()}
     for key, values in grid.items():
-        if "." not in key:
-            raise ConfigError(f"grid key {key!r} must look like section.key")
-        section, name = key.split(".", 1)
-        if section not in SCHEMA or name not in SCHEMA[section]:
-            raise ConfigError(f"unknown grid key {key!r}")
         if key == "experiment.output_dir":
             raise ConfigError("cannot sweep experiment.output_dir; run directories derive from it")
         if not values:
@@ -459,7 +448,11 @@ def cmd_sweep(cfg: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     for slug, overrides, run_cfg in planned:
         run_dir = _fresh_dir(sweep_root / slug)
         run_state = state if run_cfg.encoder == cfg.encoder else None
-        result = _run_training(run_cfg, run_dir, run_state)
+        train_set = generate_corpus(run_cfg.synth, run_cfg.seed, "train")
+        test_set = generate_corpus(run_cfg.synth, run_cfg.seed, "test")
+        _, history, fer, _ = _run_training(run_cfg, run_dir, run_state, train_set, test_set)
+        result = {"final_loss": history[-1].loss, "fer": fer}
+        _write_result(run_dir, result)
         summary.append({"run": slug, **overrides, **result})
 
     _write_csv(

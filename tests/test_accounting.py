@@ -170,12 +170,11 @@ def test_resource_report_fields_and_guard():
     assert report.frozen_params == count_model_params(spec) - report.trainable_params
     assert report.backward_flops <= 2 * report.forward_flops
     assert report.throughput == 123.4
-    assert len(report.config_fingerprint) == 64
     from fusionlab.accounting import ResourceReport
 
     with pytest.raises(ValueError):
         ResourceReport(1, 1, 1, forward_flops=10, backward_flops=21,
-                       throughput=None, config_fingerprint="x").validate()
+                       throughput=None).validate()
 
 
 def test_measure_throughput_validation():

@@ -2,6 +2,7 @@
 the programmatic row output of each command."""
 
 import dataclasses
+import hashlib
 import json
 import shutil
 import time
@@ -9,8 +10,14 @@ import time
 import pytest
 
 import fusionlab.experiments as experiments
-from fusionlab.accounting import ModelSpec, reference_table, resource_report
-from fusionlab.config import ConfigError, build_config
+from fusionlab.accounting import (
+    ModelSpec,
+    count_model_trainable_params,
+    count_trainable_params,
+    reference_table,
+    resource_report,
+)
+from fusionlab.config import ConfigError, build_config, load_config
 from fusionlab.encoder import FULL_SCALE
 from fusionlab.experiments import (
     MissingArtifactError,
@@ -45,6 +52,15 @@ TINY_SECTIONS = {
 def tiny_config(out_dir, **overrides):
     merged = {"experiment.output_dir": str(out_dir), **overrides}
     return build_config(TINY_SECTIONS, merged)
+
+
+def report_of(run):
+    """A run's resource report, checked to fingerprint the resolved.ini
+    beside it."""
+    payload = json.loads((run / "resource_report.json").read_text())
+    digest = hashlib.sha256((run / "resolved.ini").read_bytes()).hexdigest()
+    assert payload["config_fingerprint"] == digest
+    return payload
 
 
 @pytest.fixture(scope="module")
@@ -118,12 +134,12 @@ def test_probe_layers_rows_artifacts_and_costing(lab):
     assert (run / "plot_probe_curve.csv").read_text() == (run / "layer_fer.csv").read_text()
 
     # the emitted cost numbers describe a probe of the deepest requested tap
-    payload = json.loads((run / "resource_report.json").read_text())
+    payload = report_of(run)
     deepest = ModelSpec(cfg.encoder, None, PeftSpec(), cfg.synth.vocab, probe_tap=1)
     expected = dataclasses.asdict(
         resource_report(deepest, cfg.train.batch_size, cfg.train.crop_len))
     for key in ("trainable_params", "frozen_params", "activation_bytes",
-                "forward_flops", "backward_flops", "config_fingerprint"):
+                "forward_flops", "backward_flops"):
         assert payload[key] == expected[key]
     assert payload["batch"] == cfg.train.batch_size
 
@@ -173,6 +189,32 @@ def test_fusion_table_trains_each_variant(lab):
     assert "kind = linear" in resolved
     resolved = (base / "tree" / "resolved.ini").read_text()
     assert "kind = balanced" in resolved and "taps = 0,1,2" in resolved
+    for variant in ("linear-pair", "tree"):
+        report_of(base / variant)
+
+
+def test_runs_record_the_config_they_trained(lab):
+    """fusion-table and probe-layers train no adapters whatever [peft] says,
+    so their provenance must say peft kind none and price what ran."""
+    cfg = tiny_config(lab, **{
+        "peft.kind": "adapter", "peft.adapter_layers": "1,2", "peft.bottleneck_dim": "4",
+        "fusion.kind": "linear", "fusion.taps": "0,2",
+    })
+    cmd_probe_layers(cfg, taps=(0, 1))
+    cmd_fusion_table(cfg, variants={
+        "linear pair": LinearFusionSpec((0, 1), depth=1, width=16),
+        "tree": HierarchicalFusionSpec((0, 1, 2), "balanced", fp_dim=8,
+                                       final_dim=16, final_depth=2),
+    })
+    runs = [lab / "probe-layers", lab / "fusion-table" / "linear-pair",
+            lab / "fusion-table" / "tree"]
+    for run in runs:
+        assert "[peft]\nkind = none\n" in (run / "resolved.ini").read_text()
+        trained = load_config(run / "resolved.ini")
+        assert trained.peft == PeftSpec()
+        assert report_of(run)["trainable_params"] == count_model_trainable_params(
+            trained.model_spec())
+    assert load_config(runs[0] / "resolved.ini").fusion is None
 
 
 def test_comparison_runs_all_strategies(lab):
@@ -195,13 +237,19 @@ def test_comparison_runs_all_strategies(lab):
     assert by_label["hierarchical fusion"]["encoder_params"] == 0
 
     base = lab / "comparison"
+    for row in rows:
+        # the live counts in each row equal the analytic walk of the
+        # config the run recorded
+        spec = load_config(base / experiments._slug(row["strategy"]) / "resolved.ini").model_spec()
+        assert (row["encoder_params"], row["head_params"]) == count_trainable_params(
+            spec.encoder, spec.fusion, spec.peft)
     assert (base / "table.csv").exists()
     reference = (base / "full_scale_reference.csv").read_text().strip().splitlines()
     assert len(reference) == 1 + len(reference_table(FULL_SCALE))
     run_dirs = [p for p in base.iterdir() if p.is_dir()]
     assert len(run_dirs) == 8
     for run in run_dirs:
-        assert (run / "resource_report.json").exists()
+        report_of(run)
         assert (run / "metrics.csv").exists()
 
 
@@ -221,6 +269,8 @@ def test_sweep_reuses_checkpoint_only_for_matching_encoder(lab, monkeypatch):
     lines = (lab / "sweep" / "summary.csv").read_text().strip().splitlines()
     assert lines[0] == "run,encoder.model_dim,final_loss,fer"
     assert len(lines) == 3
+    for s in summary:
+        report_of(lab / "sweep" / s["run"])
 
 
 def test_sweep_validates_grid_before_creating_anything(lab):
@@ -246,8 +296,7 @@ def test_failed_artifact_writes_keep_the_old_files(tmp_path, monkeypatch):
     experiments._write_csv(tmp_path / "table.csv", ["step", "loss"], [(1, "0.5")])
     experiments._write_result(tmp_path, {"loss": 0.5})
     experiments._write_provenance(tmp_path, cfg)
-    experiments._write_resource_report(
-        tmp_path, ModelSpec(cfg.encoder, None, PeftSpec(), cfg.synth.vocab), 2, 16)
+    experiments._write_resource_report(tmp_path, cfg, cfg.model_spec(), None)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(before) == ["resolved.ini", "resource_report.json", "result.json",
                               "seed.txt", "table.csv"]
@@ -263,7 +312,7 @@ def test_failed_artifact_writes_keep_the_old_files(tmp_path, monkeypatch):
         lambda: experiments._write_result(tmp_path, {"rows": [2] * 50}),
         lambda: experiments._write_provenance(tmp_path, changed),
         lambda: experiments._write_resource_report(
-            tmp_path, ModelSpec(changed.encoder, None, PeftSpec(), 7), 4, 32),
+            tmp_path, changed, changed.model_spec(), None),
     ]
     monkeypatch.setattr(Path, "write_bytes", torn_write)
     for write in writers:
