@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ops
-from .encoder import DESK, FULL_SCALE, SUBSAMPLING, EncoderConfig
+from .encoder import DESK, FULL_SCALE, SUBSAMPLING, EncoderConfig, check_layers
 from .fusion import HierarchicalFusionSpec, LinearFusionSpec, evenly_spaced_taps
 from .peft import PeftSpec
 
@@ -82,10 +82,7 @@ class ModelSpec:
                 raise ValueError("probe_tap only applies when no fusion head is used")
             self.fusion.validate(self.encoder.num_layers)
         elif self.probe_tap is not None:
-            if not 0 <= self.probe_tap < self.encoder.num_layers:
-                raise ValueError(
-                    f"probe tap {self.probe_tap} out of range for {self.encoder.num_layers} layers"
-                )
+            check_layers((self.probe_tap,), self.encoder.num_layers, "probe tap")
         if self.num_classes < 2:
             raise ValueError(f"need at least 2 classes, got {self.num_classes}")
 

@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .checkpoint import CheckpointError
-from .config import PRESETS, ConfigError, load_config
+from .config import PRESETS, ConfigError, _int_list, load_config
 from .experiments import (
     MissingArtifactError,
     cmd_comparison,
@@ -72,15 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_taps(text: str | None):
-    if text is None:
-        return None
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:
-        raise ConfigError(f"--taps expects comma-separated integers, got {text!r}") from None
-
-
 def _parse_grid(items: list[str]) -> dict[str, list[str]]:
     grid: dict[str, list[str]] = {}
     for item in items:
@@ -112,7 +103,7 @@ def main(argv=None) -> int:
         if args.command == "pretrain":
             cmd_pretrain(cfg)
         elif args.command == "probe-layers":
-            cmd_probe_layers(cfg, taps=_parse_taps(args.taps))
+            cmd_probe_layers(cfg, taps=None if args.taps is None else _int_list(args.taps))
         elif args.command == "fusion-table":
             cmd_fusion_table(cfg)
         elif args.command == "comparison":

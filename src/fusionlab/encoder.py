@@ -12,10 +12,25 @@ from .layers import ConformerBlock, Conv1d, Linear, sinusoidal_positions
 from .params import Module
 from .tensor import ShapeError, Tensor, scope
 
-__all__ = ["SUBSAMPLING", "EncoderConfig", "DESK", "FULL_SCALE", "Encoder", "build_encoder"]
+__all__ = ["SUBSAMPLING", "EncoderConfig", "DESK", "FULL_SCALE", "Encoder", "build_encoder",
+           "check_layers"]
 
 # Frames per output position, fixed by the frontend's two stride-2 convolutions.
 SUBSAMPLING = 4
+
+
+def check_layers(indices, num_layers: int, what: str, minimum: int = 1) -> None:
+    """The one rule for a set of layer indices (fusion taps, probe taps,
+    adapter layers): at least ``minimum`` (>= 1) of them, unique and
+    increasing, each in ``[0, num_layers)``.  ``what`` names them in the
+    error."""
+    indices = tuple(indices)
+    if len(indices) < minimum:
+        raise ValueError(f"need at least {minimum} {what}, got {len(indices)}")
+    if list(indices) != sorted(set(indices)):
+        raise ValueError(f"{what} must be unique and increasing, got {indices}")
+    if indices[0] < 0 or indices[-1] >= num_layers:
+        raise ValueError(f"{what} {indices} out of range for {num_layers} layers")
 
 
 @dataclass(frozen=True)
@@ -79,8 +94,7 @@ class Encoder(Module):
     def attach_adapter(self, index: int, adapter: Module) -> None:
         if self._owned:
             raise RuntimeError("attach adapters before composing the encoder into a model")
-        if not 0 <= index < self.config.num_layers:
-            raise ValueError(f"adapter layer {index} out of range for {self.config.num_layers} layers")
+        check_layers((index,), self.config.num_layers, "adapter layer")
         if index in self.adapters:
             raise ValueError(f"layer {index} already has an adapter")
         self.child(f"adapter_{index}", adapter)
@@ -113,19 +127,13 @@ class Encoder(Module):
         highest tap are skipped entirely, so they record no forward ops.
         Adapter outputs replace the layer output stream.
         """
-        taps = tuple(tap_indices)
-        if not taps:
-            raise ValueError("tap set must be non-empty")
-        if len(set(taps)) != len(taps):
-            raise ValueError(f"duplicate tap indices: {taps}")
-        for i in taps:
-            if not 0 <= i < self.config.num_layers:
-                raise ValueError(f"tap index {i} out of range for {self.config.num_layers} layers")
+        taps = tuple(sorted(tap_indices))
+        check_layers(taps, self.config.num_layers, "tap indices")
         wanted = set(taps)
         collected: dict[int, Tensor] = {}
         with scope("encoder"):
             h = self._frontend(frames)
-            for i in range(max(taps) + 1):
+            for i in range(taps[-1] + 1):
                 with scope(f"layer_{i}"):
                     h = self.blocks[i](h)
                 if i in self.adapters:

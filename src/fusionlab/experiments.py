@@ -4,9 +4,12 @@ Every command materializes its data from (config, seed), writes the
 resolved config of what it trained (``resolved.ini``) into its run
 directory together with metrics, the seed, and a resource report whose
 ``config_fingerprint`` is the SHA-256 of that file, prints a summary
-table, and returns the rows for programmatic callers.  Existing run
-directories are never overwritten, and every artifact file is written
-atomically, so an interrupted write leaves no partial file.
+table, and returns the rows for programmatic callers.  Every downstream
+run (probe bank, fusion variant, strategy, sweep point) takes exactly
+``[train] steps`` optimizer steps, and its report's throughput is the
+rate of its last logging window.  Existing run directories are never
+overwritten, and every artifact file is written atomically, so an
+interrupted write leaves no partial file.
 
 Layout under the experiment's ``output_dir``::
 
@@ -35,7 +38,6 @@ import numpy as np
 from .accounting import (
     ModelSpec,
     comparison_model_specs,
-    measure_throughput,
     reference_table,
     resource_report,
     throughput_environment,
@@ -49,14 +51,14 @@ from .config import (
     config_sections,
     render_config,
 )
-from .encoder import FULL_SCALE, build_encoder
+from .encoder import FULL_SCALE, build_encoder, check_layers
 from .fusion import HierarchicalFusionSpec, LinearFusionSpec, evenly_spaced_taps, layer_weight_norms
 from .model import ProbeBank, build_model
 from .params import load_state, set_trainable
 from .peft import PeftSpec
 from .pretrain import pretrain_masked_prediction
 from .synth import generate_corpus
-from .training import Metrics, Trainer, evaluate_fer, evaluate_fer_per_tap, train_downstream
+from .training import Metrics, evaluate_fer, evaluate_fer_per_tap, train_downstream
 
 __all__ = [
     "MissingArtifactError",
@@ -174,25 +176,19 @@ def _print_table(headers, rows) -> None:
 
 
 def _run_training(cfg: ExperimentConfig, run_dir: Path, state: dict[str, np.ndarray] | None,
-                  train_set, test_set, timed: bool = False):
-    """Train and evaluate the model ``cfg`` describes, and write the run's
-    ``resolved.ini``, ``metrics.csv`` and ``resource_report.json``.
-
-    With ``timed`` the report's throughput is measured on the run's own
-    trainer before training (those steps train the model too); otherwise
-    it is the rate of the last logging window.  Returns
-    ``(model, history, fer, report)``.
+                  train_set, test_set):
+    """Train the model ``cfg`` describes for exactly ``[train] steps``,
+    evaluate it, and write the run's ``resolved.ini``, ``metrics.csv`` and
+    ``resource_report.json``, whose throughput is the rate of the last
+    logging window.  Returns ``(model, history, fer, report)``.
     """
     spec = cfg.model_spec()
     model = build_model(spec, cfg.seed, state)
-    trainer = Trainer(model, train_set, cfg.train, use_ema=True)
-    throughput = measure_throughput(trainer) if timed else None
-    history = train_downstream(model, train_set, cfg.train, trainer=trainer)
+    history = train_downstream(model, train_set, cfg.train)
     fer = evaluate_fer(model, test_set)
     _write_provenance(run_dir, cfg)
     _write_metrics(run_dir / "metrics.csv", history)
-    report = _write_resource_report(run_dir, cfg, spec,
-                                    throughput if timed else history[-1].throughput)
+    report = _write_resource_report(run_dir, cfg, spec, history[-1].throughput)
     return model, history, fer, report
 
 
@@ -243,12 +239,10 @@ def cmd_probe_layers(cfg: ExperimentConfig, taps=None) -> list[dict]:
     _require_trainable(cfg)
     num_layers = cfg.encoder.num_layers
     taps = tuple(range(num_layers)) if taps is None else tuple(int(t) for t in taps)
-    if not taps:
-        raise ConfigError("need at least one tap index to probe")
-    if list(taps) != sorted(set(taps)):
-        raise ConfigError(f"tap indices must be unique and increasing, got {taps}")
-    if taps[0] < 0 or taps[-1] >= num_layers:
-        raise ConfigError(f"tap indices {taps} out of range for {num_layers} layers")
+    try:
+        check_layers(taps, num_layers, "probe taps")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     state = _load_pretrained_state(cfg)
     run_dir = _fresh_dir(cfg.output_dir / "probe-layers")
     # The probes read a bare frozen encoder, whatever [fusion] and [peft] say.
@@ -268,7 +262,6 @@ def cmd_probe_layers(cfg: ExperimentConfig, taps=None) -> list[dict]:
     _write_metrics(run_dir / "metrics.csv", history)
     table = [(tap, f"{fers[tap]:.4f}") for tap in taps]
     _write_csv(run_dir / "layer_fer.csv", ["layer", "fer"], table)
-    _write_csv(run_dir / "plot_probe_curve.csv", ["layer", "fer"], table)
     # The costing spec covers a single probe; report the deepest one,
     # which dominates the shared forward.
     deepest = dataclasses.replace(run_cfg.model_spec(), probe_tap=taps[-1])
@@ -358,8 +351,7 @@ def cmd_comparison(cfg: ExperimentConfig) -> list[dict]:
         row_train = dataclasses.replace(
             cfg.train, learning_rate=cfg.train.learning_rate * lr_factor)
         run_cfg = dataclasses.replace(cfg, fusion=spec.fusion, peft=spec.peft, train=row_train)
-        model, _, fer, report = _run_training(run_cfg, run_dir, state, train_set, test_set,
-                                              timed=True)
+        model, _, fer, report = _run_training(run_cfg, run_dir, state, train_set, test_set)
         rows.append({
             "strategy": label,
             "encoder_params": model.encoder.num_params(trainable_only=True),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
+from .encoder import check_layers
 from .layers import Linear
 from .params import Module
 from .tensor import Tensor, scope
@@ -47,8 +48,7 @@ def evenly_spaced_taps(num_layers: int, count: int) -> tuple[int, ...]:
         raise ValueError(f"cannot pick {count} taps from {num_layers} layers")
     picks = [num_layers - 1 - int(j * num_layers / count + 0.5) for j in range(count)]
     taps = tuple(sorted(picks))
-    if len(set(taps)) != count or taps[0] < 0:
-        raise ValueError(f"degenerate tap spacing for {count} of {num_layers}")
+    check_layers(taps, num_layers, "evenly spaced taps")
     return taps
 
 
@@ -59,7 +59,7 @@ class LinearFusionSpec:
     width: int = 64  # hidden and output width of the projector
 
     def validate(self, num_layers: int) -> None:
-        _check_taps(self.tap_indices, num_layers, minimum=1)
+        check_layers(self.tap_indices, num_layers, "fusion taps")
         if not 1 <= self.depth <= 4:
             raise ValueError(f"projector depth must be in [1, 4], got {self.depth}")
         if self.width <= 0:
@@ -82,7 +82,7 @@ class HierarchicalFusionSpec:
         if self.variant not in ("balanced", "unbalanced"):
             raise ValueError(f"unknown hierarchical fusion variant {self.variant!r}")
         minimum = 2 if self.variant == "balanced" else 3
-        _check_taps(self.tap_indices, num_layers, minimum)
+        check_layers(self.tap_indices, num_layers, f"{self.variant} fusion taps", minimum)
         if self.fp_dim <= 0 or self.final_dim <= 0:
             raise ValueError("fp_dim and final_dim must be positive")
         if self.final_depth < 1:
@@ -91,17 +91,6 @@ class HierarchicalFusionSpec:
     @property
     def output_dim(self) -> int:
         return self.final_dim
-
-
-def _check_taps(taps, num_layers: int, minimum: int) -> None:
-    taps = tuple(taps)
-    if len(taps) < minimum:
-        hint = "; use a single-layer head instead" if minimum == 2 else ""
-        raise ValueError(f"need at least {minimum} taps, got {len(taps)}{hint}")
-    if list(taps) != sorted(set(taps)):
-        raise ValueError(f"tap indices must be strictly increasing, got {taps}")
-    if taps[0] < 0 or taps[-1] >= num_layers:
-        raise ValueError(f"tap indices {taps} out of range for {num_layers} layers")
 
 
 class LinearFusionHead(Module):

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import ops
 from .accounting import ModelSpec
-from .encoder import Encoder
+from .encoder import Encoder, check_layers
 from .fusion import build_fusion_head
 from .layers import Linear
 from .params import Module
@@ -80,10 +80,7 @@ class ProbeBank(Module):
         super().__init__()
         cfg = encoder.config
         taps = tuple(sorted(taps))
-        if not taps:
-            raise ValueError("probe bank needs at least one tap")
-        if len(set(taps)) != len(taps):
-            raise ValueError(f"duplicate tap indices: {taps}")
+        check_layers(taps, cfg.num_layers, "probe taps")
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.encoder = self.child("encoder", encoder)
         self.tap_indices = taps

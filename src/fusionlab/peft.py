@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .encoder import Encoder
+from .encoder import Encoder, check_layers
 from .layers import LayerNorm, Linear
 from .params import Module, set_trainable
 from .tensor import Tensor
@@ -46,13 +46,7 @@ class PeftSpec:
         if self.kind not in PEFT_KINDS:
             raise ValueError(f"unknown peft kind {self.kind!r}; expected one of {PEFT_KINDS}")
         if self.kind == "adapter":
-            if not self.adapter_layers:
-                raise ValueError("adapter strategy needs at least one layer index")
-            if sorted(set(self.adapter_layers)) != list(self.adapter_layers):
-                raise ValueError(f"adapter layers must be strictly increasing, got {self.adapter_layers}")
-            for i in self.adapter_layers:
-                if not 0 <= i < num_layers:
-                    raise ValueError(f"adapter layer {i} out of range for {num_layers} layers")
+            check_layers(self.adapter_layers, num_layers, "adapter layers")
             if not 0 < self.bottleneck_dim < model_dim:
                 raise ValueError(
                     f"adapter bottleneck ({self.bottleneck_dim}) must be positive and "

@@ -227,18 +227,16 @@ class Trainer:
 
 
 def train_downstream(model: Module, dataset, cfg: TrainConfig,
-                     use_ema: bool = True, trainer: Trainer | None = None) -> list[Metrics]:
+                     use_ema: bool = True) -> list[Metrics]:
     """Run ``cfg.steps`` optimizer steps; returns the logged metric history.
 
     Loss is averaged over each logging window, the error rate is measured
     on one fresh training batch at each boundary (averaged over the taps
     of a probe bank, whose predictions stack one row per tap), and
     throughput counts optimizer steps only.  When averaging is enabled the
-    averaged weights are installed after the last step.  Pass an existing ``trainer`` to
-    continue it (e.g. after timing warmup steps on it).
+    averaged weights are installed after the last step.
     """
-    if trainer is None:
-        trainer = Trainer(model, dataset, cfg, use_ema=use_ema)
+    trainer = Trainer(model, dataset, cfg, use_ema=use_ema)
     history: list[Metrics] = []
     window: list[float] = []
     t0 = time.perf_counter()

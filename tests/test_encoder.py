@@ -1,11 +1,24 @@
 """Encoder structure: frontend subsampling, tap plumbing, adapter
-attachment rules, determinism, and lazy evaluation above the top tap."""
+attachment rules, the one rule for layer indices, determinism, and lazy
+evaluation above the top tap."""
 
 import numpy as np
 import pytest
 
-from fusionlab.encoder import DESK, FULL_SCALE, SUBSAMPLING, Encoder, EncoderConfig, build_encoder
-from fusionlab.peft import Adapter
+from fusionlab.accounting import ModelSpec
+from fusionlab.cli import EXIT_CONFIG, EXIT_RUNTIME, main
+from fusionlab.encoder import (
+    DESK,
+    FULL_SCALE,
+    SUBSAMPLING,
+    Encoder,
+    EncoderConfig,
+    build_encoder,
+    check_layers,
+)
+from fusionlab.fusion import HierarchicalFusionSpec, LinearFusionSpec
+from fusionlab.model import ProbeBank
+from fusionlab.peft import Adapter, PeftSpec
 from fusionlab.tensor import OpCounter, ShapeError, Tensor, use_counter
 
 
@@ -136,3 +149,66 @@ def test_parameter_names_have_layer_prefixes():
     assert any(n.startswith("layer_5/") for n in names)
     per_block = {i: sum(1 for n in names if n.startswith(f"layer_{i}/")) for i in range(6)}
     assert len(set(per_block.values())) == 1  # identical structure per block
+
+
+def _probe_layers_cli(layers, tmp_path):
+    """Refusal is exit 1, before the (absent) checkpoint is looked for."""
+    code = main(["--out", str(tmp_path), "probe-layers",
+                 "--taps=" + ",".join(str(i) for i in layers)])
+    if code == EXIT_CONFIG:
+        raise ValueError("probe-layers refused its taps")
+    assert code == EXIT_RUNTIME  # accepted, then stopped for want of a checkpoint
+
+
+def _attach_adapter(layers, tmp_path):
+    (index,) = layers
+    build_encoder(DESK, seed=0).attach_adapter(
+        index, Adapter(64, 16, np.random.default_rng(0), dtype=np.float32))
+
+
+# Every entry point that takes layer indices, fed a set of DESK's 6 layers.
+LAYER_ENTRY_POINTS = {
+    "check_layers": lambda layers, _: check_layers(layers, DESK.num_layers, "layers"),
+    "linear-fusion": lambda layers, _: LinearFusionSpec(layers).validate(DESK.num_layers),
+    "balanced-fusion": lambda layers, _: HierarchicalFusionSpec(
+        layers, "balanced").validate(DESK.num_layers),
+    "unbalanced-fusion": lambda layers, _: HierarchicalFusionSpec(
+        layers, "unbalanced").validate(DESK.num_layers),
+    "peft-adapter": lambda layers, _: PeftSpec("adapter", layers, 16).validate(
+        DESK.num_layers, DESK.model_dim),
+    "probe-tap": lambda layers, _: ModelSpec(DESK, None, PeftSpec(), probe_tap=layers[0]).validate(),
+    "probe-bank": lambda layers, _: ProbeBank(build_encoder(DESK, seed=0), layers, 12, 0),
+    "encode-with-taps": lambda layers, _: build_encoder(DESK, seed=0).encode_with_taps(
+        frames(), layers),
+    "attach-adapter": _attach_adapter,
+    "probe-layers-cli": _probe_layers_cli,
+}
+SINGLE_INDEX = {"probe-tap", "attach-adapter"}
+BAD_LAYERS = {
+    "empty": (),
+    "duplicate": (1, 1, 3),
+    "negative": (-1, 2, 3),
+    "num-layers": (2, 3, DESK.num_layers),
+}
+BAD_SINGLE = {"negative": (-1,), "num-layers": (DESK.num_layers,)}
+TOO_FEW = {"balanced-fusion": (2,), "unbalanced-fusion": (2, 4)}
+
+
+def _bad_cases():
+    for entry in LAYER_ENTRY_POINTS:
+        cases = BAD_SINGLE if entry in SINGLE_INDEX else BAD_LAYERS
+        for name, layers in cases.items():
+            yield pytest.param(entry, layers, id=f"{entry}-{name}")
+        if entry in TOO_FEW:
+            yield pytest.param(entry, TOO_FEW[entry], id=f"{entry}-too-few")
+
+
+@pytest.mark.parametrize("entry, layers", _bad_cases())
+def test_every_layer_entry_point_refuses_a_bad_set(entry, layers, tmp_path):
+    with pytest.raises(ValueError):
+        LAYER_ENTRY_POINTS[entry](layers, tmp_path)
+
+
+@pytest.mark.parametrize("entry", LAYER_ENTRY_POINTS)
+def test_every_layer_entry_point_accepts_a_good_set(entry, tmp_path):
+    LAYER_ENTRY_POINTS[entry]((5,) if entry in SINGLE_INDEX else (0, 3, 5), tmp_path)

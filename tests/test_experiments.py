@@ -1,6 +1,8 @@
 """Experiment drivers: artifact layout, provenance, checkpoint reuse, and
 the programmatic row output of each command."""
 
+import collections
+import csv
 import dataclasses
 import hashlib
 import json
@@ -32,6 +34,7 @@ from fusionlab.experiments import (
 from fusionlab.fusion import HierarchicalFusionSpec, LinearFusionSpec
 from fusionlab.model import build_model
 from fusionlab.peft import PeftSpec
+from fusionlab.training import Trainer
 
 TINY_SECTIONS = {
     "experiment": {"preset": "desk", "seed": "0"},
@@ -131,7 +134,7 @@ def test_probe_layers_rows_artifacts_and_costing(lab):
     assert all(0.0 <= r["fer"] <= 1.0 for r in rows)
     run = lab / "probe-layers"
     assert (run / "metrics.csv").exists()
-    assert (run / "plot_probe_curve.csv").read_text() == (run / "layer_fer.csv").read_text()
+    assert (run / "layer_fer.csv").read_text().splitlines()[0] == "layer,fer"
 
     # the emitted cost numbers describe a probe of the deepest requested tap
     payload = report_of(run)
@@ -251,6 +254,34 @@ def test_comparison_runs_all_strategies(lab):
     for run in run_dirs:
         report_of(run)
         assert (run / "metrics.csv").exists()
+
+
+def test_comparison_trains_each_strategy_exactly_its_steps(lab, monkeypatch):
+    """No strategy trains beyond [train] steps, and the throughput each
+    report prices is the rate of that run's last logging window."""
+    cfg = tiny_config(lab)
+    steps = collections.Counter()
+    running = []
+    real_run, real_step = experiments._run_training, Trainer.step
+
+    def recording_run(run_cfg, run_dir, *args, **kwargs):
+        running.append(run_dir.name)
+        return real_run(run_cfg, run_dir, *args, **kwargs)
+
+    def counting_step(self):
+        steps[running[-1]] += 1
+        return real_step(self)
+
+    monkeypatch.setattr(experiments, "_run_training", recording_run)
+    monkeypatch.setattr(Trainer, "step", counting_step)
+    cmd_comparison(cfg)
+    assert len(running) == 8
+    assert steps == {run: cfg.train.steps for run in running}
+    for run in running:
+        with open(lab / "comparison" / run / "metrics.csv", newline="") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert int(last["step"]) == cfg.train.steps
+        assert f"{report_of(lab / 'comparison' / run)['throughput']:.2f}" == last["examples_per_sec"]
 
 
 def test_sweep_reuses_checkpoint_only_for_matching_encoder(lab, monkeypatch):
