@@ -11,10 +11,19 @@ FLOPs, op counts and retained-activation bytes to the active
 :class:`OpCounter` under the current attribution scope, and each node
 carries its precomputed backward charge.  FLOP convention throughout:
 one multiply-add counts as 2 FLOPs.
+
+Importing this module sets two process-wide glibc malloc thresholds: the
+heap is trimmed only when 256 MiB lie free at its top, and only blocks of
+32 MiB or more get their own mapping.  With glibc's defaults the arrays a
+training step frees went back to the kernel and the next step faulted
+them in again, thousands of minor faults per step (up to 22k for an
+adapters step at batch 16, crop 192).  The call is skipped where
+``libc.so.6`` does not load.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from collections import Counter
 from contextlib import contextmanager
@@ -39,6 +48,23 @@ __all__ = [
 ]
 
 FLOAT_DTYPES = (np.float32, np.float64)
+
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _set_malloc_thresholds() -> None:
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        return
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+    libc.mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
+_set_malloc_thresholds()
 
 
 class ShapeError(ValueError):

@@ -73,6 +73,27 @@ def test_glu_halves_last_axis():
         ops.glu(t(np.zeros((2, 3))))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_tails_dtype_and_strided_input(dtype):
+    x = np.array([-1e4, -100.0, -88.0, -0.0, 0.0, 88.0, 100.0, 1e4], dtype=dtype)
+    with np.errstate(all="raise"):
+        s = ops._sigmoid(x)
+    assert s.dtype == dtype
+    assert ((s >= 0) & (s <= 1)).all()
+    assert s[3] == 0.5 and s[4] == 0.5
+    # glu passes the gate half as a non-contiguous view
+    wide = np.random.default_rng(0).normal(size=(3, 4, 10)).astype(dtype)
+    gate = wide[..., 5:]
+    assert not gate.flags.c_contiguous
+    np.testing.assert_array_equal(ops._sigmoid(gate), ops._sigmoid(gate.copy()))
+
+
+def test_sigmoid_float32_close_to_float64_reference():
+    x = np.random.default_rng(0).normal(0, 4, size=(16, 48, 256)).astype(np.float32)
+    ref = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    assert np.abs(ops._sigmoid(x) - ref).max() < 2e-7
+
+
 def test_softmax_rows_sum_to_one():
     x = t(np.random.default_rng(1).normal(size=(4, 7)) * 30)
     out = ops.softmax(x).data

@@ -5,10 +5,21 @@ exercises the invariants the experiments lean on (alignment, determinism,
 averaging, failure modes).
 """
 
+import ctypes
+import os
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fusionlab import ops
+import fusionlab
+from fusionlab import ops, tensor
+from fusionlab.accounting import comparison_model_specs
+from fusionlab.encoder import DESK
+from fusionlab.model import build_model
 from fusionlab.params import Module
 from fusionlab.synth import SynthConfig, Utterance, generate_corpus
 from fusionlab.tensor import Tensor
@@ -256,3 +267,58 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(warmup_steps=-1).validate()
     quick_cfg().validate()
+
+
+# -- heap ------------------------------------------------------------------------
+
+
+def _glibc_loads():
+    try:
+        ctypes.CDLL("libc.so.6")
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(not _glibc_loads(), reason="libc.so.6 does not load")
+def test_training_step_does_not_refault_the_heap():
+    # With glibc's default thresholds a step trimmed its freed arrays back
+    # to the kernel and faulted them in again: 7k-22k minor faults per
+    # adapters step at this size, depending on what ran before.
+    import resource
+
+    specs = comparison_model_specs(DESK, num_classes=12)
+    data = generate_corpus(SynthConfig(), seed=1, split="train", count=64)
+    cfg = TrainConfig(batch_size=16, crop_len=192, warmup_steps=0,
+                      ema_decay=0.0, log_every=100)
+    for name in ("adapters (all layers)", "full fine-tuning"):
+        trainer = Trainer(build_model(specs[name], seed=1), data, cfg, use_ema=False)
+        for _ in range(5):
+            trainer.step()
+        faults = []
+        for _ in range(10):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            trainer.step()
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert statistics.median(faults) < 100, (name, faults)
+
+
+def _no_libc(*args, **kwargs):
+    raise OSError("libc.so.6: cannot open shared object file")
+
+
+def test_malloc_setup_skipped_without_glibc(monkeypatch):
+    monkeypatch.setattr(ctypes, "CDLL", _no_libc)
+    tensor._set_malloc_thresholds()
+    code = (
+        "import ctypes\n"
+        "calls = []\n"
+        "def no_libc(*args, **kwargs):\n"
+        "    calls.append(args)\n"
+        "    raise OSError('no libc')\n"
+        "ctypes.CDLL = no_libc\n"
+        "import fusionlab\n"
+        "assert calls == [('libc.so.6',)], calls\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fusionlab.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
