@@ -6,15 +6,14 @@ Each primitive:
 * computes the forward result with numpy,
 * charges forward FLOPs / op counts to the active counter (2 FLOPs per
   multiply-add, movement ops are free),
-* records a graph node carrying a backward rule, the arrays saved for
-  backward, and the backward FLOP charge, but only when at least one
-  input requires a gradient.
+* records a graph node, only when at least one input requires a
+  gradient.  The node keeps its parents, the ndarrays its backward rule
+  reads and the backward FLOP charge, never an input tensor.
 
 The per-op cost formulas live in the ``*_flops`` helpers below so the
-closed-form accounting route can price the same op inventory without
-touching the live graph.  Saved-for-backward byte accounting excludes
-parameter storage (a node holding a reference to a weight retains no
-extra memory); everything else saved is charged at its array size.
+symbolic cost trace in :mod:`fusionlab.accounting` prices the same op
+inventory without touching the live graph.  Saved bytes skip a parameter
+input's storage and charge every other saved array at its size.
 """
 
 from __future__ import annotations
@@ -91,15 +90,9 @@ def cross_entropy_flops(rows: int, classes: int, forward: bool) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _saved_nbytes(saved: dict) -> int:
-    total = 0
-    for value in saved.values():
-        if isinstance(value, Tensor):
-            if not value.is_param:
-                total += value.data.nbytes
-        elif isinstance(value, np.ndarray):
-            total += value.nbytes
-    return total
+def _saved_nbytes(saved: dict, inputs) -> int:
+    return sum(v.nbytes for v in saved.values()
+               if not any(t.is_param and v is t.data for t in inputs))
 
 
 def _finish(kind, out_data, inputs, saved, attrs, fwd_flops, bwd_flops):
@@ -111,8 +104,9 @@ def _finish(kind, out_data, inputs, saved, attrs, fwd_flops, bwd_flops):
     node = None
     saved_bytes = 0
     if record:
-        saved_bytes = _saved_nbytes(saved)
-        node = Node(kind, inputs, needs, saved, attrs, scope_name, bwd_flops)
+        saved_bytes = _saved_nbytes(saved, inputs)
+        parents = tuple((t.node or t) if t.requires_grad else None for t in inputs)
+        node = Node(kind, parents, needs, saved, attrs, scope_name, bwd_flops)
     counter.record_forward(kind, int(fwd_flops), scope_name, saved_bytes)
     return Tensor(out_data, node=node)
 
@@ -162,27 +156,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     bwd = matmul_flops(batch, m, k, n) * (int(need_a) + int(need_b))
     saved = {}
     if need_a:
-        saved["b"] = b
+        saved["b"] = b.data
     if need_b:
-        saved["a"] = a
-    return _finish("matmul", out, (a, b), saved, {}, fwd, bwd)
+        saved["a"] = a.data
+    return _finish("matmul", out, (a, b), saved, {"sa": a.shape, "sb": b.shape}, fwd, bwd)
 
 
 @_backward_rule("matmul")
 def _matmul_bwd(node, g):
-    a, b = node.inputs
     need_a, need_b = node.needs
     ga = gb = None
     if need_a:
-        bd = node.saved["b"].data
+        bd = node.saved["b"]
         if bd.ndim == 2:
             n = bd.shape[1]
-            ga = (g.reshape(-1, n) @ bd.T).reshape(a.shape)
+            ga = (g.reshape(-1, n) @ bd.T).reshape(node.attrs["sa"])
         else:
             ga = g @ np.swapaxes(bd, -1, -2)
     if need_b:
-        ad = node.saved["a"].data
-        if b.data.ndim == 2:
+        ad = node.saved["a"]
+        if len(node.attrs["sb"]) == 2:
             k = ad.shape[-1]
             n = g.shape[-1]
             gb = ad.reshape(-1, k).T @ g.reshape(-1, n)
@@ -202,7 +195,6 @@ def bias_add(x: Tensor, bias: Tensor) -> Tensor:
 
 @_backward_rule("bias_add")
 def _bias_add_bwd(node, g):
-    x, bias = node.inputs
     gx = g if node.needs[0] else None
     gb = g.reshape(-1, g.shape[-1]).sum(axis=0) if node.needs[1] else None
     return gx, gb
@@ -239,9 +231,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     bwd = per_side * (int(a.requires_grad) + int(b.requires_grad))
     saved = {}
     if a.requires_grad:
-        saved["b"] = b
+        saved["b"] = b.data
     if b.requires_grad:
-        saved["a"] = a
+        saved["a"] = a.data
     return _finish("mul", out, (a, b), saved, {"sa": a.shape, "sb": b.shape}, fwd, bwd)
 
 
@@ -249,9 +241,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def _mul_bwd(node, g):
     ga = gb = None
     if node.needs[0]:
-        ga = _unbroadcast(g * node.saved["b"].data, node.attrs["sa"])
+        ga = _unbroadcast(g * node.saved["b"], node.attrs["sa"])
     if node.needs[1]:
-        gb = _unbroadcast(g * node.saved["a"].data, node.attrs["sb"])
+        gb = _unbroadcast(g * node.saved["a"], node.attrs["sb"])
     return ga, gb
 
 
@@ -278,13 +270,13 @@ def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0)
     fwd = pointwise_flops("relu", out.size, True)
     bwd = pointwise_flops("relu", out.size, False) if x.requires_grad else 0
-    saved = {"x": x} if x.requires_grad else {}
+    saved = {"x": x.data} if x.requires_grad else {}
     return _finish("relu", out, (x,), saved, {}, fwd, bwd)
 
 
 @_backward_rule("relu")
 def _relu_bwd(node, g):
-    return (g * (node.saved["x"].data > 0),)
+    return (g * (node.saved["x"] > 0),)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -316,14 +308,14 @@ def swish(x: Tensor) -> Tensor:
     out = x.data * s
     fwd = pointwise_flops("swish", out.size, True)
     bwd = pointwise_flops("swish", out.size, False) if x.requires_grad else 0
-    saved = {"x": x, "s": s} if x.requires_grad else {}
+    saved = {"x": x.data, "s": s} if x.requires_grad else {}
     return _finish("swish", out, (x,), saved, {}, fwd, bwd)
 
 
 @_backward_rule("swish")
 def _swish_bwd(node, g):
     s = node.saved["s"]
-    xd = node.saved["x"].data
+    xd = node.saved["x"]
     return (g * (s + xd * s * (1.0 - s)),)
 
 
@@ -391,7 +383,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         saved["xhat"] = xhat
     if need_x:
         saved["inv"] = inv
-        saved["gamma"] = gamma
+        saved["gamma"] = gamma.data
     return _finish("layer_norm", out, (x, gamma, beta), saved, {}, fwd, bwd)
 
 
@@ -402,7 +394,7 @@ def _layer_norm_bwd(node, g):
     if need_x:
         xhat = node.saved["xhat"]
         inv = node.saved["inv"]
-        dxhat = g * node.saved["gamma"].data
+        dxhat = g * node.saved["gamma"]
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         gx = inv * (dxhat - m1 - xhat * m2)
@@ -439,27 +431,26 @@ def conv1d(x: Tensor, weight: Tensor, stride: int = 1) -> Tensor:
     bwd = per_side * (int(x.requires_grad) + int(weight.requires_grad))
     saved = {}
     if x.requires_grad:
-        saved["w"] = weight
+        saved["w"] = weight.data
     if weight.requires_grad:
-        saved["x"] = x
+        saved["x"] = x.data
     attrs = {"stride": stride, "k": k, "t": t, "span": span}
     return _finish("conv1d", out, (x, weight), saved, attrs, fwd, bwd)
 
 
 @_backward_rule("conv1d")
 def _conv1d_bwd(node, g):
-    x, weight = node.inputs
     stride, k, t, span = node.attrs["stride"], node.attrs["k"], node.attrs["t"], node.attrs["span"]
     b, t_out, c_out = g.shape
     gx = gw = None
     if node.needs[0]:
-        wd = node.saved["w"].data
+        wd = node.saved["w"]
         gx = np.zeros((b, t, wd.shape[1]), dtype=g.dtype)
         g2 = g.reshape(-1, c_out)
         for j in range(k):
             gx[:, j : j + span : stride, :] += (g2 @ wd[j].T).reshape(b, t_out, -1)
     if node.needs[1]:
-        xd = node.saved["x"].data
+        xd = node.saved["x"]
         c_in = xd.shape[-1]
         gw = np.zeros((k, c_in, c_out), dtype=g.dtype)
         g2 = g.reshape(-1, c_out)
@@ -490,7 +481,7 @@ def depthwise_conv1d(x: Tensor, weight: Tensor) -> Tensor:
     bwd = per_side * (int(x.requires_grad) + int(weight.requires_grad))
     saved = {}
     if x.requires_grad:
-        saved["w"] = weight
+        saved["w"] = weight.data
     if weight.requires_grad:
         saved["xp"] = xp
     attrs = {"k": k, "pad_left": pad_left, "pad_right": pad_right}
@@ -499,13 +490,12 @@ def depthwise_conv1d(x: Tensor, weight: Tensor) -> Tensor:
 
 @_backward_rule("depthwise_conv1d")
 def _depthwise_bwd(node, g):
-    x, weight = node.inputs
     k = node.attrs["k"]
     pad_left, pad_right = node.attrs["pad_left"], node.attrs["pad_right"]
     b, t, c = g.shape
     gx = gw = None
     if node.needs[0]:
-        wd = node.saved["w"].data
+        wd = node.saved["w"]
         gxp = np.zeros((b, t + pad_left + pad_right, c), dtype=g.dtype)
         for j in range(k):
             gxp[:, j : j + t, :] += g * wd[j]

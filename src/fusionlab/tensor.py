@@ -208,13 +208,18 @@ BACKWARD: dict[str, Callable] = {}
 
 
 class Node:
-    """One recorded primitive: how to push a gradient to its inputs."""
+    """One recorded primitive: how to push a gradient to its inputs.
 
-    __slots__ = ("kind", "inputs", "needs", "saved", "attrs", "scope", "index", "bwd_flops", "freed")
+    It keeps its parents and the arrays its backward rule reads, never its
+    input tensors: ``parents`` holds each input's node, else the leaf
+    tensor if it requires a gradient, else ``None``.
+    """
 
-    def __init__(self, kind, inputs, needs, saved, attrs, scope_name, bwd_flops):
+    __slots__ = ("kind", "parents", "needs", "saved", "attrs", "scope", "index", "bwd_flops", "freed")
+
+    def __init__(self, kind, parents, needs, saved, attrs, scope_name, bwd_flops):
         self.kind = kind
-        self.inputs = inputs
+        self.parents = parents
         self.needs = needs
         self.saved = saved
         self.attrs = attrs
@@ -270,12 +275,9 @@ def leaf_gradients(loss: Tensor, retain_graph: bool = False) -> dict[int, np.nda
     """
     if loss.data.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
-    leaf_grads: dict[int, np.ndarray] = {}
     root = loss.node
     if root is None:
-        if loss.requires_grad:
-            leaf_grads[id(loss)] = np.ones_like(loss.data)
-        return leaf_grads
+        return {id(loss): np.ones_like(loss.data)} if loss.requires_grad else {}
 
     nodes: list[Node] = []
     stack = [root]
@@ -287,35 +289,33 @@ def leaf_gradients(loss: Tensor, retain_graph: bool = False) -> dict[int, np.nda
                 "backward through a freed graph; pass retain_graph=True to the first backward"
             )
         nodes.append(n)
-        for t, need in zip(n.inputs, n.needs):
-            if need and t.node is not None and id(t.node) not in seen:
-                seen.add(id(t.node))
-                stack.append(t.node)
+        for p in n.parents:
+            if isinstance(p, Node) and id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
     # Creation index is a topological order, so descending index is a valid
     # reverse sweep and fixes the accumulation order for reproducibility.
     nodes.sort(key=lambda n: n.index, reverse=True)
 
+    # One table keyed by id(parent) serves nodes and leaves: each node pops
+    # its own entry before any of its parents is reached, so only leaf
+    # entries remain at the end.
     counter = current_counter()
-    node_grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
     for n in nodes:
-        g = node_grads.pop(id(n), None)
+        g = grads.pop(id(n), None)
         if g is None:
             continue
         counter.record_backward(n.kind, n.bwd_flops, n.scope)
-        input_grads = BACKWARD[n.kind](n, g)
-        for t, need, gi in zip(n.inputs, n.needs, input_grads):
-            if not need or gi is None:
+        for p, gi in zip(n.parents, BACKWARD[n.kind](n, g)):
+            if p is None or gi is None:
                 continue
-            key = id(t.node) if t.node is not None else id(t)
-            table = node_grads if t.node is not None else leaf_grads
-            if key in table:
-                table[key] = table[key] + gi
-            else:
-                table[key] = gi
+            key = id(p)
+            grads[key] = grads[key] + gi if key in grads else gi
         if not retain_graph:
             n.freed = True
             n.saved = None
-    return leaf_grads
+    return grads
 
 
 def grad(loss: Tensor, wrt: Sequence[Tensor], retain_graph: bool = False) -> list[np.ndarray | None]:

@@ -5,8 +5,9 @@ The trainer is deliberately small.  It owns the batch sampler, the
 optimizer, and (when enabled) an exponential moving average of the
 trainable parameters; ``finish()`` copies the averaged weights into the
 model so evaluation sees the smoothed solution.  Parameter updates always
-replace the underlying arrays rather than writing into them, so tensors
-captured by an autodiff graph are never corrupted retroactively.
+replace the underlying arrays rather than writing into them, so arrays
+saved by a graph are never rewritten: a retained graph still reads the
+weights its forward used.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 from fusionlab import ops
 from fusionlab.params import Module, backward, set_trainable
 from fusionlab.tensor import GraphError, OpCounter, Tensor, grad, use_counter
+from fusionlab.training import Adam, TrainConfig
 
 
 def test_gradient_accumulates_over_shared_input():
@@ -113,6 +114,21 @@ def test_backward_map_covers_all_trainables_even_with_zero_grad():
     grads = backward(ops.mean(model(x)), model)
     assert set(grads) == set(model.trainable_parameters())
     np.testing.assert_array_equal(grads["first/weight"], np.zeros((2, 2)))
+
+
+def test_retained_graph_reads_the_weights_its_forward_used():
+    # Adam replaces parameter arrays; a retained graph keeps the arrays its
+    # forward read, so a second backward repeats the first bitwise.
+    model = _TwoLayer(3)
+    x = Tensor(np.random.default_rng(0).standard_normal((4, 3)))
+    loss = ops.mean(ops.swish(model(x)))
+    first = backward(loss, model, retain_graph=True)
+    cfg = TrainConfig(learning_rate=0.1, warmup_steps=0)
+    Adam(model.trainable_parameters(), cfg).apply(first)
+    second = backward(loss, model)
+    assert set(second) == set(first)
+    for name in first:
+        np.testing.assert_array_equal(second[name], first[name], err_msg=name)
 
 
 def test_module_name_prefixing_and_duplicate_guard():

@@ -303,6 +303,32 @@ def test_training_step_does_not_refault_the_heap():
         assert statistics.median(faults) < 100, (name, faults)
 
 
+@pytest.mark.parametrize("name", ["full fine-tuning", "hierarchical fusion + adapters (all layers)"])
+def test_step_peak_memory_tracks_counted_saved_bytes(name):
+    # A graph node keeps only the arrays its backward rule reads, so the
+    # traced peak of a step stays near the bytes the counter charges for
+    # them; a node that kept its input tensors would hold every forward
+    # output until the step returned.
+    import tracemalloc
+
+    specs = comparison_model_specs(DESK, num_classes=12)
+    data = generate_corpus(SynthConfig(), seed=1, split="train", count=32)
+    cfg = TrainConfig(batch_size=16, crop_len=192, warmup_steps=0,
+                      ema_decay=0.0, log_every=100)
+    trainer = Trainer(build_model(specs[name], seed=1), data, cfg, use_ema=False)
+    trainer.step()
+    counter = tensor.OpCounter()
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        with tensor.use_counter(counter):
+            trainer.step()
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * counter.saved_bytes, (peak / 1e6, counter.saved_bytes / 1e6)
+
+
 def _no_libc(*args, **kwargs):
     raise OSError("libc.so.6: cannot open shared object file")
 
