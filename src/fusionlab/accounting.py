@@ -236,7 +236,8 @@ class _Trace:
         self.forward_flops += ops.pointwise_flops("glu", n, True)
         if x.needs:
             self.backward_flops += ops.pointwise_flops("glu", n, False)
-            self.saved_elems += 2 * n   # gated half and gate activations
+            self._save(x)               # the whole input
+            self.saved_elems += n       # gate activations
         return out
 
     def softmax(self, x: _Sym) -> _Sym:

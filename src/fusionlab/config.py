@@ -2,9 +2,12 @@
 
 A config file has up to seven sections; every key is typed and checked,
 and unknown sections or keys are hard errors so a typo cannot silently
-fall back to a default.  The keys of ``[encoder]``, ``[train]``,
-``[pretrain]`` and ``[synth]`` are the fields of their config dataclass
-(minus ``seed``, which ``[experiment]`` sets for all of them).
+fall back to a default.  Every section's keys are the fields of its
+config dataclass, each parsed by the field's annotation (``[experiment]``
+holds the scalar fields of :class:`ExperimentConfig` and sets ``seed``
+for the other sections).  In ``[fusion]``, ``kind`` picks the spec class
+and ``taps`` or ``num_taps`` (explicit or evenly spaced) its taps; its
+other fields are keys.  Numbers that are not finite are refused.
 ``render_config`` emits the fully resolved configuration (every key
 explicit), which is what run directories freeze for provenance;
 ``config_fingerprint`` hashes that text, and each run's resource report
@@ -21,6 +24,8 @@ import configparser
 import dataclasses
 import hashlib
 import io
+import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,9 +68,12 @@ def _int(text: str) -> int:
 
 def _float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _str(text: str) -> str:
@@ -86,30 +94,9 @@ def _int_pair(text: str) -> tuple[int, int]:
     return values  # type: ignore[return-value]
 
 
-_PARSERS = {int: _int, float: _float, tuple: _int_pair}
-
-
-def _fields_schema(cls) -> dict[str, object]:
-    """One key per dataclass field but ``seed``, parsed by its default's type."""
-    return {f.name: _PARSERS[type(f.default)]
-            for f in dataclasses.fields(cls) if f.name != "seed"}
-
-
-SCHEMA: dict[str, dict[str, object]] = {
-    "experiment": {"preset": _str, "output_dir": _str, "seed": _int},
-    "encoder": _fields_schema(EncoderConfig),
-    "fusion": {
-        "kind": _str, "taps": _int_list, "num_taps": _int, "depth": _int,
-        "width": _int, "fp_dim": _int, "final_dim": _int, "final_depth": _int,
-    },
-    "peft": {"kind": _str, "adapter_layers": _int_list, "bottleneck_dim": _int},
-    "train": _fields_schema(TrainConfig),
-    "pretrain": _fields_schema(PretrainConfig),
-    "synth": _fields_schema(SynthConfig),
-}
-
-_LINEAR_ONLY = ("depth", "width")
-_HIER_ONLY = ("fp_dim", "final_dim", "final_depth")
+# one parser per field annotation
+_PARSERS = {int: _int, float: _float, str: _str, Path: lambda text: Path(_str(text)),
+            tuple[int, ...]: _int_list, tuple[int, int]: _int_pair}
 
 
 @dataclass(frozen=True)
@@ -150,6 +137,37 @@ class ExperimentConfig:
         return self.preset == "full-counting"
 
 
+# -- the schema, derived from the dataclasses ---------------------------------
+
+
+def _keys(cls, skip=()) -> dict[str, object]:
+    """One key per field of ``cls`` not in ``skip``, parsed by its annotation."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: _PARSERS[hints[f.name]]
+            for f in dataclasses.fields(cls) if f.name not in skip}
+
+
+_HINTS = typing.get_type_hints(ExperimentConfig)
+# the sections after [experiment], in field order
+_SECTIONS = tuple(name for name, hint in _HINTS.items() if hint not in _PARSERS)
+_EXPERIMENT_KEYS = _keys(ExperimentConfig, skip=_SECTIONS)
+
+# [fusion] kind picks the spec class, and taps (or num_taps) fill its
+# tap_indices; a hierarchical kind is also its variant.
+_FUSION_SPECS = {"linear": LinearFusionSpec, "balanced": HierarchicalFusionSpec,
+                 "unbalanced": HierarchicalFusionSpec}
+_SPEC_KEYS = {cls: _keys(cls, skip=("tap_indices", "variant"))
+              for cls in _FUSION_SPECS.values()}
+_FUSION_KEYS = {"kind": _str, "taps": _int_list, "num_taps": _int,
+                **_SPEC_KEYS[LinearFusionSpec], **_SPEC_KEYS[HierarchicalFusionSpec]}
+
+SCHEMA: dict[str, dict[str, object]] = {
+    "experiment": _EXPERIMENT_KEYS,
+    **{name: _FUSION_KEYS if name == "fusion" else _keys(_HINTS[name], skip=_EXPERIMENT_KEYS)
+       for name in _SECTIONS},
+}
+
+
 def _preset_defaults(preset: str) -> ExperimentConfig:
     if preset == "desk":
         # Averaging horizon of ~300 steps suits the short desk budget;
@@ -185,8 +203,7 @@ def _parsed(sections: dict[str, dict[str, str]], section: str) -> dict[str, obje
     return out
 
 
-def _build_fusion(sections, num_layers: int, model_dim: int):
-    raw = _parsed(sections, "fusion")
+def _build_fusion(raw: dict[str, object], encoder: EncoderConfig):
     if not raw:
         return None
     kind = raw.pop("kind", None)
@@ -201,26 +218,23 @@ def _build_fusion(sections, num_layers: int, model_dim: int):
     if "taps" in raw:
         taps = raw.pop("taps")
     elif "num_taps" in raw:
-        taps = evenly_spaced_taps(num_layers, raw.pop("num_taps"))
+        try:
+            taps = evenly_spaced_taps(encoder.num_layers, raw.pop("num_taps"))
+        except ValueError as exc:
+            raise ConfigError(f"[fusion] num_taps: {exc}") from None
     else:
         raise ConfigError("[fusion] needs 'taps' (explicit indices) or 'num_taps' (evenly spaced)")
-    if kind == "linear":
-        bad = [k for k in raw if k in _HIER_ONLY]
-        if bad:
-            raise ConfigError(f"[fusion] keys {bad} only apply to hierarchical kinds")
-        return LinearFusionSpec(tuple(taps), depth=raw.get("depth", 1),
-                                width=raw.get("width", model_dim))
-    if kind in ("balanced", "unbalanced"):
-        bad = [k for k in raw if k in _LINEAR_ONLY]
-        if bad:
-            raise ConfigError(f"[fusion] keys {bad} only apply to kind=linear")
-        return HierarchicalFusionSpec(
-            tuple(taps), kind,
-            fp_dim=raw.get("fp_dim", model_dim // 2),
-            final_dim=raw.get("final_dim", model_dim),
-            final_depth=raw.get("final_depth", 3),
-        )
-    raise ConfigError(f"unknown fusion kind {kind!r}; expected linear, balanced, unbalanced, or none")
+    if kind not in _FUSION_SPECS:
+        raise ConfigError(f"unknown fusion kind {kind!r}; expected linear, balanced, unbalanced, or none")
+    cls = _FUSION_SPECS[kind]
+    bad = [k for k in raw if k not in _SPEC_KEYS[cls]]
+    if bad:
+        others = "hierarchical kinds" if cls is LinearFusionSpec else "kind=linear"
+        raise ConfigError(f"[fusion] keys {bad} only apply to {others}")
+    d = encoder.model_dim
+    if cls is LinearFusionSpec:
+        return LinearFusionSpec(taps, **{"width": d, **raw})
+    return HierarchicalFusionSpec(taps, kind, **{"fp_dim": d // 2, "final_dim": d, **raw})
 
 
 def build_config(sections: dict[str, dict[str, str]],
@@ -240,32 +254,21 @@ def build_config(sections: dict[str, dict[str, str]],
     _check_sections(sections)
 
     exp = _parsed(sections, "experiment")
-    preset = exp.get("preset", "desk")
-    base = _preset_defaults(preset)
-    seed = exp.get("seed", base.seed)
-
-    encoder = dataclasses.replace(base.encoder, **_parsed(sections, "encoder"))
-    fusion = _build_fusion(sections, encoder.num_layers, encoder.model_dim)
-    peft_raw = _parsed(sections, "peft")
-    if "adapter_layers" in peft_raw:
-        peft_raw["adapter_layers"] = tuple(peft_raw["adapter_layers"])
-    peft = dataclasses.replace(base.peft, **peft_raw)
-    train = dataclasses.replace(base.train, seed=seed, **_parsed(sections, "train"))
-    pretrain = dataclasses.replace(base.pretrain, seed=seed, **_parsed(sections, "pretrain"))
-    synth_raw = _parsed(sections, "synth")
-    synth_raw.setdefault("input_dim", encoder.input_dim)
-    synth = dataclasses.replace(base.synth, **synth_raw)
-    cfg = ExperimentConfig(
-        preset=preset,
-        output_dir=Path(exp.get("output_dir", base.output_dir)),
-        seed=seed,
-        encoder=encoder,
-        fusion=fusion,
-        peft=peft,
-        train=train,
-        pretrain=pretrain,
-        synth=synth,
-    )
+    base = _preset_defaults(exp.get("preset", "desk"))
+    values = {k: exp.get(k, getattr(base, k)) for k in _EXPERIMENT_KEYS}
+    for name in _SECTIONS:
+        raw = _parsed(sections, name)
+        if name == "fusion":
+            values[name] = _build_fusion(raw, values["encoder"])
+            continue
+        if name == "synth":
+            # like the fusion widths, a default sized by the encoder
+            raw.setdefault("input_dim", values["encoder"].input_dim)
+        default = getattr(base, name)
+        # [experiment] sets its keys (the seed) in every section that has them
+        shared = {k: values[k] for k in _EXPERIMENT_KEYS if hasattr(default, k)}
+        values[name] = dataclasses.replace(default, **shared, **raw)
+    cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
 
@@ -299,45 +302,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _fields_section(cfg: ExperimentConfig, section: str) -> dict[str, str]:
-    values = getattr(cfg, section)
-    return {k: _fmt(getattr(values, k)) for k in SCHEMA[section]}
+def _section(values, keys) -> dict[str, str]:
+    return {k: _fmt(getattr(values, k)) for k in keys}
+
+
+def _fusion_section(spec) -> dict[str, str]:
+    if spec is None:
+        return {"kind": "none"}
+    kind = "linear" if isinstance(spec, LinearFusionSpec) else spec.variant
+    return {"kind": kind, "taps": _fmt(spec.tap_indices), **_section(spec, _SPEC_KEYS[type(spec)])}
 
 
 def config_sections(cfg: ExperimentConfig) -> dict[str, dict[str, str]]:
     """The fully resolved config as raw string sections (round-trips
     through ``build_config``)."""
-    out: dict[str, dict[str, str]] = {
-        "experiment": {
-            "preset": cfg.preset,
-            "output_dir": str(cfg.output_dir),
-            "seed": str(cfg.seed),
-        },
-        "encoder": _fields_section(cfg, "encoder"),
-    }
-    if cfg.fusion is None:
-        out["fusion"] = {"kind": "none"}
-    elif isinstance(cfg.fusion, LinearFusionSpec):
-        out["fusion"] = {
-            "kind": "linear",
-            "taps": _fmt(cfg.fusion.tap_indices),
-            "depth": str(cfg.fusion.depth),
-            "width": str(cfg.fusion.width),
-        }
-    else:
-        out["fusion"] = {
-            "kind": cfg.fusion.variant,
-            "taps": _fmt(cfg.fusion.tap_indices),
-            "fp_dim": str(cfg.fusion.fp_dim),
-            "final_dim": str(cfg.fusion.final_dim),
-            "final_depth": str(cfg.fusion.final_depth),
-        }
-    out["peft"] = {"kind": cfg.peft.kind}
-    if cfg.peft.kind == "adapter":
-        out["peft"]["adapter_layers"] = _fmt(cfg.peft.adapter_layers)
-        out["peft"]["bottleneck_dim"] = str(cfg.peft.bottleneck_dim)
-    for section in ("train", "pretrain", "synth"):
-        out[section] = _fields_section(cfg, section)
+    out = {"experiment": _section(cfg, _EXPERIMENT_KEYS)}
+    for name in _SECTIONS:
+        values = getattr(cfg, name)
+        if name == "fusion":
+            out[name] = _fusion_section(values)
+        elif name == "peft":
+            # adapter settings left empty (zero) are not written, so a
+            # non-adapter kind renders ``kind`` alone
+            out[name] = {k: v for k, v in _section(values, SCHEMA[name]).items()
+                         if getattr(values, k)}
+        else:
+            out[name] = _section(values, SCHEMA[name])
     return out
 
 

@@ -330,13 +330,15 @@ def glu(x: Tensor) -> Tensor:
     out = a * s
     fwd = pointwise_flops("glu", out.size, True)
     bwd = pointwise_flops("glu", out.size, False) if x.requires_grad else 0
-    saved = {"a": a, "s": s} if x.requires_grad else {}
+    # the whole input, not the gated half: a view of it would pin it all anyway
+    saved = {"x": x.data, "s": s} if x.requires_grad else {}
     return _finish("glu", out, (x,), saved, {}, fwd, bwd)
 
 
 @_backward_rule("glu")
 def _glu_bwd(node, g):
-    a, s = node.saved["a"], node.saved["s"]
+    s = node.saved["s"]
+    a = node.saved["x"][..., : s.shape[-1]]
     ga = g * s
     gb = g * a * s * (1.0 - s)
     return (np.concatenate([ga, gb], axis=-1),)

@@ -90,6 +90,23 @@ def test_bad_probe_taps_exit_1(tiny_config):
     assert main(["--config", str(path), "probe-layers", "--taps", "1,0"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("num_taps", ["6", "0"])
+def test_num_taps_outside_the_stack_exits_1(tmp_path, capsys, num_taps):
+    path = tmp_path / "taps.ini"
+    path.write_text(f"[encoder]\nnum_layers = 4\n\n[fusion]\nkind = balanced\nnum_taps = {num_taps}\n")
+    assert main(["--config", str(path), "--out", str(tmp_path / "counts"), "count-params"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: [fusion] num_taps: cannot pick {num_taps} taps from 4 layers" in err
+
+
+def test_non_finite_learning_rate_exits_1_before_training(tiny_config, capsys):
+    path, out = tiny_config
+    path.write_text(path.read_text().replace("learning_rate = 0.005", "learning_rate = nan"))
+    assert main(["--config", str(path), "pretrain"]) == EXIT_CONFIG
+    assert "config error: [pretrain] learning_rate: expected a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_probe_without_checkpoint_exits_2(tiny_config, capsys):
     path, _ = tiny_config
     assert main(["--config", str(path), "probe-layers"]) == EXIT_RUNTIME

@@ -1,8 +1,13 @@
 """Config plumbing: strict schema, presets, overrides, and the resolved
 round trip the provenance files depend on."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fusionlab.config import (
     SCHEMA,
@@ -50,6 +55,10 @@ def test_type_errors_name_section_and_key():
         build_config({"synth": {"noise_std": "loud"}})
     with pytest.raises(ConfigError, match=r"\[synth\] frames_per_symbol"):
         build_config({"synth": {"frames_per_symbol": "4,8,12"}})
+    with pytest.raises(ConfigError, match=r"\[train\] learning_rate: expected a finite number"):
+        build_config({"train": {"learning_rate": "nan"}})
+    with pytest.raises(ConfigError, match=r"\[synth\] structure_scale: expected a finite number"):
+        build_config({"synth": {"structure_scale": "inf"}})
 
 
 def test_fusion_section_variants():
@@ -80,6 +89,9 @@ def test_fusion_section_errors():
         build_config({"fusion": {"kind": "none", "depth": "1"}})
     with pytest.raises(ConfigError, match="unknown fusion kind"):
         build_config({"fusion": {"kind": "tree", "taps": "1,3"}})
+    for count in ("0", "7"):
+        with pytest.raises(ConfigError, match=rf"\[fusion\] num_taps: cannot pick {count} taps"):
+            build_config({"fusion": {"kind": "balanced", "num_taps": count}})
 
 
 def test_cross_section_consistency_rules():
@@ -148,16 +160,132 @@ def test_config_sections_cover_everything():
     assert sections["fusion"]["taps"] == "1,3,5"
 
 
-DATACLASS_KEYS = [(section, key) for section in ("encoder", "train", "pretrain", "synth")
-                  for key in SCHEMA[section]]
+ADAPTERS = {"peft": {"kind": "adapter", "adapter_layers": "3,4,5", "bottleneck_dim": "16"}}
+LINEAR = {"fusion": {"kind": "linear", "taps": "1,3,5"}}
+HIERARCHICAL = {"fusion": {"kind": "unbalanced", "taps": "0,2,5"}}
+DATACLASS_KEYS = (
+    [pytest.param({}, section, key, id=f"{section}.{key}")
+     for section in ("experiment", "encoder", "train", "pretrain", "synth")
+     for key in SCHEMA[section]]
+    + [pytest.param(ADAPTERS, "peft", key, id=f"peft.{key}") for key in SCHEMA["peft"]]
+    + [pytest.param(LINEAR, "fusion", key, id=f"fusion[linear].{key}")
+       for key in ("kind", "taps", "depth", "width")]
+    + [pytest.param(HIERARCHICAL, "fusion", key, id=f"fusion[unbalanced].{key}")
+       for key in ("kind", "taps", "fp_dim", "final_dim", "final_depth")]
+)
 
 
-@pytest.mark.parametrize("section,key", DATACLASS_KEYS,
-                         ids=[f"{s}.{k}" for s, k in DATACLASS_KEYS])
-def test_every_dataclass_key_takes_its_rendered_default(section, key):
-    base = build_config({})
-    raw = config_sections(base)[section][key]
-    assert build_config({section: {key: raw}}) == base
+@pytest.mark.parametrize("base,section,key", DATACLASS_KEYS)
+def test_every_dataclass_key_takes_its_rendered_default(base, section, key):
+    cfg = build_config(base)
+    raw = config_sections(cfg)[section][key]
+    assert build_config({**base, section: {**base.get(section, {}), key: raw}}) == cfg
+
+
+DEFAULT_TEXT = """\
+[experiment]
+preset = desk
+output_dir = runs/experiment
+seed = 0
+
+[encoder]
+num_layers = 6
+model_dim = 64
+num_heads = 4
+ffn_expansion = 4
+conv_kernel = 8
+input_dim = 16
+
+[fusion]
+kind = none
+
+[peft]
+kind = none
+
+[train]
+learning_rate = 0.001
+warmup_steps = 500
+steps = 3000
+batch_size = 16
+crop_len = 64
+ema_decay = 0.997
+log_every = 50
+
+[pretrain]
+codebook_size = 64
+code_dim = 16
+mask_prob = 0.15
+steps = 2000
+batch_size = 16
+crop_len = 64
+learning_rate = 0.001
+warmup_steps = 100
+min_loss_drop = 0.3
+gate_window = 50
+
+[synth]
+vocab = 12
+frames_per_symbol = 4,8
+input_dim = 16
+emission_rank = 4
+noise_std = 0.3
+mean_scale = 1.0
+structure_scale = 0.1
+utterance_len = 8,24
+pretrain_utterances = 256
+train_utterances = 256
+test_utterances = 64
+self_transition = 0.1
+latent_rho = 0.95
+
+"""
+NO_HEAD = "[fusion]\nkind = none\n\n[peft]\nkind = none\n"
+
+
+def test_rendered_text_is_pinned():
+    # every run's config_fingerprint hashes this text
+    assert render_config(build_config({})) == DEFAULT_TEXT
+    unbalanced = build_config({**HIERARCHICAL, **ADAPTERS})
+    assert render_config(unbalanced) == DEFAULT_TEXT.replace(NO_HEAD, (
+        "[fusion]\nkind = unbalanced\ntaps = 0,2,5\nfp_dim = 32\nfinal_dim = 64\n"
+        "final_depth = 3\n\n[peft]\nkind = adapter\nadapter_layers = 3,4,5\n"
+        "bottleneck_dim = 16\n"))
+    spaced = build_config({"fusion": {"kind": "linear", "num_taps": "3"}})
+    assert render_config(spaced) == DEFAULT_TEXT.replace(NO_HEAD, (
+        "[fusion]\nkind = linear\ntaps = 1,3,5\ndepth = 1\nwidth = 64\n\n"
+        "[peft]\nkind = none\n"))
+
+
+SCHEMA_PATHS = sorted(f"{section}.{key}" for section in SCHEMA for key in SCHEMA[section]
+                      if (section, key) != ("experiment", "output_dir"))
+VALUE_POOL = ["0", "1", "2", "3", "5", "6", "7", "16", "64", "100000", "-1", "-4",
+              "0.5", "1e-3", "nan", "inf", "-inf", "", "1,3", "0,2,5", "4,8", "5,1",
+              "none", "linear", "balanced", "unbalanced", "adapter", "bitfit", "full-counting"]
+BASES = [{}, LINEAR, {"fusion": {"kind": "balanced", "num_taps": "4"}}, ADAPTERS,
+         {**HIERARCHICAL, **ADAPTERS}]
+
+
+def _floats(obj):
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _floats(value)
+        elif isinstance(value, float):
+            yield value
+
+
+@settings(max_examples=1000, deadline=None)
+@example(base=BASES[2], overrides={"encoder.num_layers": "2"})
+@example(base={}, overrides={"train.learning_rate": "nan"})
+@given(base=st.sampled_from(BASES),
+       overrides=st.dictionaries(st.sampled_from(SCHEMA_PATHS), st.sampled_from(VALUE_POOL),
+                                 min_size=1, max_size=3))
+def test_any_schema_override_is_refused_or_builds_finite(base, overrides):
+    try:
+        cfg = build_config(base, overrides)
+    except ConfigError:
+        return
+    assert all(math.isfinite(v) for v in _floats(cfg))
 
 
 @pytest.mark.parametrize("section,key", [("encoder", "subsampling"), ("pretrain", "mask_span")])

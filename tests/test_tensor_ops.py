@@ -2,6 +2,8 @@
 recording rules (what gets counted, what gets saved, what stays silent).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -71,6 +73,24 @@ def test_glu_halves_last_axis():
     np.testing.assert_allclose(out.data, a / (1.0 + np.exp(-b)), rtol=1e-12)
     with pytest.raises(ShapeError):
         ops.glu(t(np.zeros((2, 3))))
+
+
+def test_glu_counts_every_byte_its_node_keeps_alive():
+    # a view of the gated half would pin the whole input, so the node
+    # saves and charges all of it plus the gate activations
+    x = Tensor(np.random.default_rng(0).standard_normal((768, 512), dtype=np.float32),
+               requires_grad=True)
+    ctr = counted()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with use_counter(ctr):
+            out = ops.glu(ops.scale(x, 2.0))  # only the glu node holds the scaled input
+        kept = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert ctr.saved_bytes == (768 * 512 + 768 * 256) * 4  # 2.36 MB
+    assert abs(kept - ctr.saved_bytes) < 0.01 * ctr.saved_bytes
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
